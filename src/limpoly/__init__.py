@@ -44,7 +44,6 @@ from .measure import (
     is_epsilon_limited,
     measure,
     rescale_roots,
-    scalar_multiple_invariance,
 )
 from .polynomials import (
     DEFAULT_TOL,

@@ -401,14 +401,9 @@ def _cmd_expand(args) -> int:
     rs = parse_roots(args.roots)
     selector = args.center
     results: dict
-    if selector == "min":
-        exp = local_expansion_min(rs)
-        results = {
-            "expansion": to_jsonable(exp),
-            "index_bound": to_jsonable(index_bound_check(exp, rs)),
-        }
-    elif selector == "max-plus":
-        exp = local_expansion_max_plus(rs)
+    if selector in ("min", "max-plus"):
+        expand = local_expansion_min if selector == "min" else local_expansion_max_plus
+        exp = expand(rs)
         results = {
             "expansion": to_jsonable(exp),
             "index_bound": to_jsonable(index_bound_check(exp, rs)),
@@ -442,6 +437,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# Flags whose value may start with "-" (a negative zero, as in --roots -1,2).
+# argparse reads such a value as an option, so it is attached as --flag=value.
+_ROOT_FLAGS = ("--roots", "--roots2")
+
+
+def _attach_root_values(argv) -> list[str]:
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _ROOT_FLAGS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_root_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (UsageError, RootDomainError, ValueError) as exc:

@@ -2,10 +2,12 @@
 
 Two code paths:
 
-* all zeros known and real: sort, cluster coincident zeros, bracket the
-  single derivative zero in each open interval between distinct zeros
-  with bisection on the logarithmic derivative, then polish with Newton.
-  A zero of multiplicity m contributes itself m-1 times.
+* all zeros known and real: sort, cluster coincident zeros, and bisect
+  on the sign of the logarithmic derivative sum m_i / (x - v_i) for the
+  single derivative zero in each open interval between distinct zeros.
+  A zero of multiplicity m contributes itself m-1 times.  Points come
+  from the zeros alone (coefficients feed only the reported residuals);
+  higher derivatives repeat the step on the previous stage's points.
 * otherwise: normalize the derivative to monic and run a simultaneous
   (Aberth-style) Jacobi iteration from equally spaced points on a circle,
   polishing each converged point with Newton.
@@ -95,13 +97,14 @@ def _log_derivative(clusters, x: float) -> float:
     return math.fsum(m / (x - v) for v, m in clusters)
 
 
-def _interval_zero(clusters, lo: float, hi: float, deriv_coeffs, second_coeffs) -> float:
+def _interval_zero(clusters, lo: float, hi: float) -> float:
     """The single derivative zero in the open interval (lo, hi).
 
     The logarithmic derivative sum m_i / (x - v_i) is strictly decreasing
     there, positive near lo and negative near hi, so bisection on its
-    sign is safe even when the endpoints are repeated zeros; Newton on
-    the derivative itself then polishes the simple zero.
+    sign is safe even when the endpoints are repeated zeros.  It runs
+    until the bracket cannot shrink, which leaves the zero to within
+    about an ulp.
     """
     a, b = lo, hi
     for _ in range(200):
@@ -114,31 +117,18 @@ def _interval_zero(clusters, lo: float, hi: float, deriv_coeffs, second_coeffs) 
         elif s < 0.0:
             b = mid
         else:
-            a = b = mid
-            break
-    x = 0.5 * (a + b)
-    for _ in range(8):
-        slope = _horner(second_coeffs, x).real
-        if slope == 0.0:
-            break
-        step = _horner(deriv_coeffs, x).real / slope
-        nxt = x - step
-        if not (lo < nxt < hi):
-            break
-        x = nxt
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
+            return mid
+    return 0.5 * (a + b)
 
 
-def _real_critical_points(values, deriv_coeffs) -> list[float]:
+def _real_critical_points(values) -> list[float]:
+    """Sorted zeros of the derivative of prod(x - v) for real values v."""
     clusters = _cluster_reals(values)
-    second_coeffs = _derive(deriv_coeffs)
     points: list[float] = []
     for rep, mult in clusters:
         points.extend([rep] * (mult - 1))
     for (lo, _), (hi, _) in zip(clusters, clusters[1:]):
-        points.append(_interval_zero(clusters, lo, hi, deriv_coeffs, second_coeffs))
+        points.append(_interval_zero(clusters, lo, hi))
     points.sort()
     return points
 
@@ -273,55 +263,49 @@ def _polish(coeffs, deriv_coeffs, z: complex, steps: int = 3) -> complex:
 # public operations
 
 
-def _solve_derivative(p: MonicPolynomial, deriv_coeffs) -> CriticalSet:
-    if p.roots is not None and p.roots.is_real():
-        points = _real_critical_points(p.roots.reals(), deriv_coeffs)
-        complex_points = tuple(complex(x) for x in points)
-        method = INTERLACE
-    else:
-        monic = tuple(c / deriv_coeffs[-1] for c in deriv_coeffs[:-1]) + (1 + 0j,)
-        found = _aberth(monic)
-        found.sort(key=lambda w: (w.real, w.imag))
-        complex_points = tuple(found)
-        method = SIMULTANEOUS
-    residuals = tuple(_scaled_residual(deriv_coeffs, b) for b in complex_points)
-    return CriticalSet(points=complex_points, residuals=residuals, method=method)
+def _critical_set(coeffs, points, method: str) -> CriticalSet:
+    """Points with their scaled residuals against the coefficient vector."""
+    points = tuple(complex(b) for b in points)
+    residuals = tuple(_scaled_residual(coeffs, b) for b in points)
+    return CriticalSet(points=points, residuals=residuals, method=method)
+
+
+def _simultaneous(coeffs) -> CriticalSet:
+    """All zeros of a coefficient vector by Aberth iteration, sorted."""
+    monic = tuple(c / coeffs[-1] for c in coeffs[:-1]) + (1 + 0j,)
+    found = sorted(_aberth(monic), key=lambda w: (w.real, w.imag))
+    return _critical_set(coeffs, found, SIMULTANEOUS)
 
 
 def critical_points(p: MonicPolynomial) -> CriticalSet:
     """All zeros of P', counted with multiplicity (degree - 1 of them)."""
     if p.degree < 2:
         raise ValueError("critical points need degree at least 2")
-    return _solve_derivative(p, derivative(p))
+    deriv_coeffs = derivative(p)
+    if p.roots is not None and p.roots.is_real():
+        return _critical_set(deriv_coeffs, _real_critical_points(p.roots.reals()), INTERLACE)
+    return _simultaneous(deriv_coeffs)
 
 
 def higher_derivative_zeros(p: MonicPolynomial, k: int) -> CriticalSet:
     """All zeros of the k-th derivative, 1 <= k <= degree - 1.
 
-    With known real zeros the solver walks down one derivative at a time,
-    reusing the interlacing construction at every stage; otherwise it
-    differentiates k times and solves once.
+    With known real zeros the solver walks down one derivative at a time
+    on the zeros alone, each stage interlacing the one before; otherwise
+    it differentiates k times and solves once.  Residuals are taken
+    against the k-th derivative's coefficients either way.
     """
     if not 1 <= k <= p.degree - 1:
         raise ValueError(f"order must be in 1..{p.degree - 1}, got {k}")
-    if p.roots is not None and p.roots.is_real():
-        current = p
-        crit = critical_points(current)
-        for _ in range(k - 1):
-            deriv_coeffs = derivative(current)
-            lead = deriv_coeffs[-1]
-            monic = tuple(c / lead for c in deriv_coeffs[:-1]) + (1 + 0j,)
-            current = MonicPolynomial(monic, roots=RootMultiset(crit.points))
-            crit = critical_points(current)
-        return crit
-    coeffs = p.coeffs
-    for _ in range(k):
+    coeffs = derivative(p)
+    for _ in range(k - 1):
         coeffs = _derive(coeffs)
-    monic = tuple(c / coeffs[-1] for c in coeffs[:-1]) + (1 + 0j,)
-    found = _aberth(monic)
-    found.sort(key=lambda w: (w.real, w.imag))
-    residuals = tuple(_scaled_residual(coeffs, b) for b in found)
-    return CriticalSet(points=tuple(found), residuals=residuals, method=SIMULTANEOUS)
+    if p.roots is not None and p.roots.is_real():
+        points = [b.real for b in critical_points(p).points]
+        for _ in range(k - 1):
+            points = _real_critical_points(points)
+        return _critical_set(coeffs, points, INTERLACE)
+    return _simultaneous(coeffs)
 
 
 @dataclass(frozen=True)

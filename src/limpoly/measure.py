@@ -3,8 +3,7 @@
 The measure of a monic polynomial is the plain product of the moduli of
 its zeros (no max(1, .) weighting).  A polynomial is eps-limited when
 its measure is strictly below eps.  The closure laws the measure obeys
-(products, scalar multiples, conjugation, rescaled zeros) are exposed as
-executable checks.
+(products, conjugation, rescaled zeros) are exposed as executable checks.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "is_epsilon_limited",
     "measure",
     "rescale_roots",
-    "scalar_multiple_invariance",
 ]
 
 # Linear product is exact enough for small, well-scaled multisets; the
@@ -88,19 +86,6 @@ def rescale_roots(roots: RootsLike, lambdas) -> RootMultiset:
         if lam == 0:
             raise ValueError(f"scale factor #{i} is zero")
     return RootMultiset(tuple(a / lam for a, lam in zip(rs.roots, lams)))
-
-
-def scalar_multiple_invariance(roots: RootsLike, lam: complex) -> bool:
-    """Multiplying a polynomial by a nonzero constant keeps its zeros.
-
-    The zero multiset of lam * P is the zero multiset of P, so the
-    measure is unchanged; this asserts exactly that and returns True.
-    """
-    rs = RootMultiset(roots)
-    if complex(lam) == 0:
-        raise ValueError("scalar must be nonzero (zero gives the zero polynomial)")
-    scaled_zeros = rs.roots  # scaling coefficients moves no zero
-    return scaled_zeros == rs.roots and measure(scaled_zeros) == measure(rs)
 
 
 def check_product_proposition(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import run_claim
+from .claims import _STIRLING_N_MAX, run_claim
 from .critical import ConvergenceError, critical_points
 from .measure import measure
 from .polynomials import RootMultiset, RootsLike, from_roots
@@ -134,6 +134,14 @@ class SearchConfig:
             raise ValueError("counterexample_cap must be nonnegative")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if (
+            self.claim_id in (ClaimId.BASIC_INEQUALITY, ClaimId.DERIV_SUM_BOUND)
+            and self.degree_max > _STIRLING_N_MAX
+        ):
+            raise ValueError(
+                f"{self.claim_id.value} needs degree_max <= {_STIRLING_N_MAX} "
+                "(its factorial and Stirling sums stay in double range only that far)"
+            )
         kind, _ = _parse_distribution(self.distribution)
         _parse_policy(self.epsilon_policy)
         if kind == "complex-disk" and self.claim_id is not ClaimId.PRODUCT_PROP:

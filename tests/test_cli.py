@@ -55,6 +55,21 @@ def test_analyze_cubic_json(capsys):
     assert results["complex_pullback"]["reason"] == "all-real-roots"
 
 
+def test_roots_flags_accept_a_leading_minus(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--roots", "-1,2", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["roots"] == [[-1, 0], [2, 0]]
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--claim", "product_prop", "--roots", "-0.5", "--roots2", "-0.25",
+        "--eps", "1", "--delta", "1", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["verdict"]["details"]["product_measure"] == pytest.approx(
+        0.125
+    )
+
+
 def test_analyze_singleton(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--roots", "0.5", "--json")
     assert code == 0
@@ -176,6 +191,18 @@ def test_search_zero_samples_usage_error(capsys):
     )
     assert code == 1
     assert "samples" in err
+
+
+def test_search_degree_beyond_stirling_range_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "search", "--claim", "basic_inequality", "--degree", "121", "--samples", "1",
+        "--seed", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("limpoly search: error:") and "degree_max" in err
 
 
 def test_search_seed_env_default(capsys, monkeypatch):

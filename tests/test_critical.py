@@ -13,7 +13,7 @@ from limpoly import (
 )
 from limpoly.critical import _aberth
 from limpoly.polynomials import derivative
-from oracles import hull_distance
+from oracles import hull_distance, real_derivative_tower
 
 
 def test_cubic_critical_points_closed_form():
@@ -106,6 +106,41 @@ def test_higher_derivative_zeros_complex_path():
     second = higher_derivative_zeros(bare, 2)  # 12x^2: double zero at 0
     assert len(second.points) == 2
     assert all(abs(z) <= 1e-7 for z in second.points)
+
+
+def _log_uniform(seed, n):
+    rng = np.random.default_rng(seed)
+    return tuple(float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n)))
+
+
+def _unit_disk_moduli(seed, n):
+    rng = np.random.default_rng(seed)
+    radius, angle = np.sqrt(rng.uniform(0, 1, n)), 2 * np.pi * rng.uniform(0, 1, n)
+    return tuple(abs(complex(r * math.cos(t), r * math.sin(t))) for r, t in zip(radius, angle))
+
+
+def _assert_relative_match(points, oracle, rel):
+    got = sorted(z.real for z in points)
+    assert len(got) == len(oracle)
+    for g, w in zip(got, oracle):
+        assert abs(g - w) <= rel * abs(w), (g, w)
+
+
+@pytest.mark.parametrize(
+    "roots", [_log_uniform(5, 40), _unit_disk_moduli(7, 20)], ids=["log-uniform-40", "moduli-20"]
+)
+def test_real_critical_points_match_mpmath(roots):
+    crit = critical_points(from_roots(roots))
+    assert crit.method == "interlace-bisection"
+    _assert_relative_match(crit.points, real_derivative_tower(roots, 1)[0], 1e-13)
+
+
+def test_higher_derivative_zeros_match_mpmath():
+    roots = _log_uniform(9, 20)
+    tower = real_derivative_tower(roots, 19)
+    p = from_roots(roots)
+    for k in (1, 5, 10, 19):
+        _assert_relative_match(higher_derivative_zeros(p, k).points, tower[k - 1], 1e-13)
 
 
 def test_higher_derivative_order_validation():

@@ -13,7 +13,6 @@ from limpoly import (
     is_epsilon_limited,
     measure,
     rescale_roots,
-    scalar_multiple_invariance,
 )
 
 
@@ -67,14 +66,6 @@ def test_rescale_roots():
         rescale_roots([1, 2], [1])
     with pytest.raises(ValueError):
         rescale_roots([1], [0])
-
-
-def test_scalar_multiple_invariance():
-    assert scalar_multiple_invariance([1, 2], 5)
-    assert scalar_multiple_invariance([1, 2], -1)
-    assert scalar_multiple_invariance([2, 3], 1j)
-    with pytest.raises(ValueError):
-        scalar_multiple_invariance([1], 0)
 
 
 def test_product_proposition_examples():

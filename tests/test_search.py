@@ -99,6 +99,11 @@ def test_config_validation():
         # positive-real claims cannot run over a complex distribution
         SearchConfig(**{**good, "distribution": "complex-disk:1"})
     SearchConfig(**{**good, "claim_id": "product_prop", "distribution": "complex-disk:1"})
+    # the factorial and Stirling sums of these claims stop at degree 120
+    for claim in ("basic_inequality", "deriv_sum_bound"):
+        SearchConfig(**{**good, "claim_id": claim, "degree_max": 120})
+        with pytest.raises(ValueError, match="degree_max"):
+            SearchConfig(**{**good, "claim_id": claim, "degree_max": 121})
 
 
 # ---------------------------------------------------------------------------
