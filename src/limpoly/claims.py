@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 from .critical import critical_points, higher_derivative_zeros
 from .expansion import index_bound_check, local_expansion_min
-from .measure import check_product_proposition, measure
+from .measure import _require_positive_finite, _rest_measure, check_product_proposition
 from .polynomials import (
     DEFAULT_TOL,
     RootMultiset,
     RootsLike,
-    Tolerance,
     _derive,
     _horner,
     derivative,
@@ -95,23 +94,27 @@ def stirling_bound_compare(n: int) -> StirlingBound:
     )
 
 
-def _positive_real_setup(roots: RootsLike, min_n: int = 2):
+def _positive_real_setup(roots: RootsLike):
     """Validated values, least-zero index, and the rest product."""
     rs = RootMultiset(roots)
     values = rs.positive_reals()
-    if rs.n < min_n:
-        raise ValueError(f"claim needs at least {min_n} zeros, got {rs.n}")
-    j = min(range(rs.n), key=lambda i: (values[i], i))
-    rest = [v for i, v in enumerate(values) if i != j]
-    rest_product = measure(rest) if rest else 1.0
-    return rs, values, j, rest_product
+    if rs.n < 2:
+        raise ValueError(f"claim needs at least 2 zeros, got {rs.n}")
+    j = rs.min_modulus_index()
+    return rs, values, j, _rest_measure(values, j)
 
 
-def check_real_case(
-    roots: RootsLike,
-    tol: Tolerance = DEFAULT_TOL,
-    index_band: float = 1e-9,
-) -> ClaimVerdict:
+def _eps_setup(roots: RootsLike, eps: float):
+    """Validated eps, the positive-real setup, and its quotient-eps-limited hypothesis."""
+    _require_positive_finite("eps", eps)
+    rs, values, j, rest_product = _positive_real_setup(roots)
+    hyp = hypothesis_check(
+        "quotient-eps-limited", eps - rest_product, DEFAULT_TOL.gap(eps, rest_product)
+    )
+    return rs, values, j, rest_product, hyp
+
+
+def check_real_case(roots: RootsLike, index_band: float = 1e-9) -> ClaimVerdict:
     """Unit-distance claim for the least zero.
 
     Hypotheses: (H1) the rest product is strictly below 1; (H2) the
@@ -123,7 +126,7 @@ def check_real_case(
     """
     rs, values, j, rest_product = _positive_real_setup(roots)
     h_limited = hypothesis_check(
-        "quotient-one-limited", 1.0 - rest_product, tol.gap(1.0, rest_product)
+        "quotient-one-limited", 1.0 - rest_product, DEFAULT_TOL.gap(1.0, rest_product)
     )
 
     exp = local_expansion_min(rs)
@@ -137,14 +140,14 @@ def check_real_case(
         margin = band - distance
         if margin < worst_margin:
             worst_margin = margin
-            worst_boundary = tol.gap(band, distance)
+            worst_boundary = DEFAULT_TOL.gap(band, distance)
     h_index = hypothesis_check("index-pattern", worst_margin, worst_boundary)
 
     crit = critical_points(from_roots(rs))
     center = values[j]
     distances = [abs(center - b) for b in crit.points]
     max_distance = max(distances)
-    concl = conclusion_check(1.0 - max_distance, tol.gap(1.0, max_distance))
+    concl = conclusion_check(1.0 - max_distance, DEFAULT_TOL.gap(1.0, max_distance))
     return build_verdict(
         ClaimId.REAL_CASE,
         (h_limited, h_index),
@@ -158,11 +161,7 @@ def check_real_case(
     )
 
 
-def check_basic_inequality(
-    roots: RootsLike,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ClaimVerdict:
+def check_basic_inequality(roots: RootsLike, eps: float) -> ClaimVerdict:
     """Derivative-sum bound at the least zero.
 
     Hypothesis: rest product < eps.  Conclusion: the sum over s = 1..n of
@@ -176,9 +175,7 @@ def check_basic_inequality(
     the exponential form actually underestimates the factorial sum for
     every n (reported, direction checked separately).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    rs, values, j, rest_product = _positive_real_setup(roots)
+    rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
     poly = from_roots(rs)
     n = rs.n
@@ -196,11 +193,8 @@ def check_basic_inequality(
     identity_scale = max(derivative_sum, weighted_coeff_sum, 1.0)
     identity_rel_err = abs(derivative_sum - weighted_coeff_sum) / identity_scale
 
-    hyp = hypothesis_check(
-        "quotient-eps-limited", eps - rest_product, tol.gap(eps, rest_product)
-    )
     concl = conclusion_check(
-        exponential_bound - derivative_sum, tol.gap(exponential_bound, derivative_sum)
+        exponential_bound - derivative_sum, DEFAULT_TOL.gap(exponential_bound, derivative_sum)
     )
     return build_verdict(
         ClaimId.BASIC_INEQUALITY,
@@ -218,12 +212,7 @@ def check_basic_inequality(
     )
 
 
-def check_squeeze(
-    roots: RootsLike,
-    eps: float,
-    delta: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ClaimVerdict:
+def check_squeeze(roots: RootsLike, eps: float, delta: float) -> ClaimVerdict:
     """Distance bound for all higher-derivative zeros.
 
     Hypothesis: rest product < eps.  Conclusion: every zero of every
@@ -232,11 +221,8 @@ def check_squeeze(
     which forces distance 0; delta is therefore a parameter and the
     attained maximum distance is always reported.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    rs, values, j, rest_product = _positive_real_setup(roots)
+    _require_positive_finite("delta", delta)
+    rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
     poly = from_roots(rs)
 
@@ -246,10 +232,7 @@ def check_squeeze(
         per_order_max.append(max(abs(center - b) for b in crit.points))
     max_distance = max(per_order_max)
 
-    hyp = hypothesis_check(
-        "quotient-eps-limited", eps - rest_product, tol.gap(eps, rest_product)
-    )
-    concl = conclusion_check(delta - max_distance, tol.gap(delta, max_distance))
+    concl = conclusion_check(delta - max_distance, DEFAULT_TOL.gap(delta, max_distance))
     return build_verdict(
         ClaimId.SQUEEZE,
         (hyp,),
@@ -262,20 +245,14 @@ def check_squeeze(
     )
 
 
-def check_perm_sum_bound(
-    roots: RootsLike,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ClaimVerdict:
+def check_perm_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
     """Product-rule value of P' at the least zero against eps * sqrt(2*pi)/e.
 
     The product-rule sum collapses at the least zero to the product of
     (least zero - other zero); that internal identity is verified and
     reported alongside the bound check.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    rs, values, j, rest_product = _positive_real_setup(roots)
+    rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
 
     value = permutation_sum_derivative(rs, center)
@@ -288,10 +265,7 @@ def check_perm_sum_bound(
     identity_rel_err = abs(value - direct) / identity_scale
 
     bound = eps * _SQRT_TWO_PI / math.e
-    hyp = hypothesis_check(
-        "quotient-eps-limited", eps - rest_product, tol.gap(eps, rest_product)
-    )
-    concl = conclusion_check(bound - attained, tol.gap(bound, attained))
+    concl = conclusion_check(bound - attained, DEFAULT_TOL.gap(bound, attained))
     return build_verdict(
         ClaimId.PERM_SUM_BOUND,
         (hyp,),
@@ -304,20 +278,14 @@ def check_perm_sum_bound(
     )
 
 
-def check_deriv_sum_bound(
-    roots: RootsLike,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ClaimVerdict:
+def check_deriv_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
     """Derivative sums of P' at the least zero against the exponential bound.
 
     The left side is sum over s = 0..n-1 of |s-th derivative of P'
     evaluated at the least zero| (the s = 0 term is |P'| itself); the
     bound is eps * sqrt(2*pi) * sum e^-k k^(k+1/2).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    rs, values, j, rest_product = _positive_real_setup(roots)
+    rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
     poly = from_roots(rs)
 
@@ -329,10 +297,7 @@ def check_deriv_sum_bound(
     attained = math.fsum(terms)
 
     bound = eps * stirling_sum(rs.n)
-    hyp = hypothesis_check(
-        "quotient-eps-limited", eps - rest_product, tol.gap(eps, rest_product)
-    )
-    concl = conclusion_check(bound - attained, tol.gap(bound, attained))
+    concl = conclusion_check(bound - attained, DEFAULT_TOL.gap(bound, attained))
     return build_verdict(
         ClaimId.DERIV_SUM_BOUND,
         (hyp,),
@@ -345,7 +310,7 @@ def check_deriv_sum_bound(
     )
 
 
-def check_index_bound(roots: RootsLike, tol: Tolerance = DEFAULT_TOL) -> ClaimVerdict:
+def check_index_bound(roots: RootsLike) -> ClaimVerdict:
     """Expansion-coefficient bound about the least zero, as a claim verdict.
 
     No hypotheses beyond the positive-real precondition; the conclusion
@@ -358,7 +323,7 @@ def check_index_bound(roots: RootsLike, tol: Tolerance = DEFAULT_TOL) -> ClaimVe
     if report.entries:
         worst = min(report.entries, key=lambda e: e.bound - e.magnitude)
         concl = conclusion_check(
-            worst.bound - worst.magnitude, tol.gap(worst.bound, worst.magnitude)
+            worst.bound - worst.magnitude, DEFAULT_TOL.gap(worst.bound, worst.magnitude)
         )
     else:
         # Degree 1: no coefficients in range, the bound holds vacuously.
@@ -382,31 +347,30 @@ def run_claim(
     eps: float | None = None,
     delta: float | None = None,
     second_roots: RootsLike | None = None,
-    tol: Tolerance = DEFAULT_TOL,
     index_band: float = 1e-9,
 ) -> ClaimVerdict:
     """Dispatch one claim check; raises ValueError for missing parameters."""
     cid = ClaimId(claim_id.upper()) if isinstance(claim_id, str) else claim_id
     if cid is ClaimId.REAL_CASE:
-        return check_real_case(roots, tol=tol, index_band=index_band)
+        return check_real_case(roots, index_band=index_band)
     if cid is ClaimId.INDEX_BOUND:
-        return check_index_bound(roots, tol=tol)
+        return check_index_bound(roots)
     if cid is ClaimId.PRODUCT_PROP:
         if second_roots is None:
             raise ValueError("PRODUCT_PROP needs a second root multiset")
         if eps is None or delta is None:
             raise ValueError("PRODUCT_PROP needs both eps and delta")
-        return check_product_proposition(roots, second_roots, eps, delta, tol=tol)
+        return check_product_proposition(roots, second_roots, eps, delta)
     if eps is None:
         raise ValueError(f"{cid.value} needs eps")
     if cid is ClaimId.BASIC_INEQUALITY:
-        return check_basic_inequality(roots, eps, tol=tol)
+        return check_basic_inequality(roots, eps)
     if cid is ClaimId.SQUEEZE:
         if delta is None:
             raise ValueError("SQUEEZE needs delta")
-        return check_squeeze(roots, eps, delta, tol=tol)
+        return check_squeeze(roots, eps, delta)
     if cid is ClaimId.PERM_SUM_BOUND:
-        return check_perm_sum_bound(roots, eps, tol=tol)
+        return check_perm_sum_bound(roots, eps)
     if cid is ClaimId.DERIV_SUM_BOUND:
-        return check_deriv_sum_bound(roots, eps, tol=tol)
+        return check_deriv_sum_bound(roots, eps)
     raise ValueError(f"unknown claim {claim_id!r}")

@@ -510,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_root_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (UsageError, RootDomainError, ValueError) as exc:
+    except (UsageError, RootDomainError, ValueError, OverflowError) as exc:
         print(f"limpoly {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .measure import measure
+from .measure import _rest_measure
 from .polynomials import RootMultiset, RootsLike, from_roots
 
 __all__ = [
@@ -75,8 +75,7 @@ def local_expansion_min(roots: RootsLike) -> LocalExpansion:
     """Expand about the least zero (ties: smallest index); roots must be positive reals."""
     rs = RootMultiset(roots)
     values = rs.positive_reals()
-    center_index = min(range(len(values)), key=lambda i: (values[i], i))
-    return _expand_about(values, center_index, MINUS_FORM)
+    return _expand_about(values, rs.min_modulus_index(), MINUS_FORM)
 
 
 def local_expansion_max_plus(roots: RootsLike) -> LocalExpansion:
@@ -113,8 +112,7 @@ def index_bound_check(exp: LocalExpansion, roots: RootsLike) -> IndexBoundReport
     rs = RootMultiset(roots)
     values = rs.positive_reals()
     if exp.sign == MINUS_FORM:
-        rest = [v for i, v in enumerate(values) if i != exp.center_index]
-        bound = measure(rest) if rest else 1.0
+        bound = _rest_measure(values, exp.center_index)
     else:
         bound = exp.center ** len(values)
     entries = []

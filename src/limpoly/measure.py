@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomials import DEFAULT_TOL, RootMultiset, RootsLike, Tolerance
+from .polynomials import DEFAULT_TOL, RootMultiset, RootsLike
 from .verdicts import (
     ClaimId,
     ClaimVerdict,
@@ -29,25 +29,35 @@ __all__ = [
     "rescale_roots",
 ]
 
-# Linear product is exact enough for small, well-scaled multisets; the
-# log-domain path avoids under/overflow on sweeps.
-_LOG_DOMAIN_N = 20
-_LINEAR_LO = 1e-6
-_LINEAR_HI = 1e6
-
 
 def measure(roots: RootsLike) -> float:
-    """Product of the moduli of all roots; exactly 0 if any root is 0."""
-    rs = RootMultiset(roots)
-    mods = rs.moduli()
-    if any(m == 0.0 for m in mods):
-        return 0.0
-    if rs.n > _LOG_DOMAIN_N or any(m < _LINEAR_LO or m > _LINEAR_HI for m in mods):
-        return math.exp(math.fsum(math.log(m) for m in mods))
-    prod = 1.0
-    for m in mods:
-        prod *= m
-    return prod
+    """Product of the moduli of all roots; exactly 0 if any root is 0.
+
+    The running product is kept as a mantissa in [0.5, 1) and a binary
+    exponent, so the result under- or overflows only when the product
+    itself is outside double range: a product below the subnormal range
+    rounds to 0.0 (measure([1e-200, 1e-200]) is 0.0, the correctly
+    rounded value), and one above the largest double raises OverflowError.
+    """
+    mantissa, exponent = 1.0, 0
+    for m in map(abs, RootMultiset(roots).roots):
+        mantissa, e = math.frexp(mantissa * m)
+        exponent += e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise OverflowError(f"measure is out of double range (about 2**{exponent})") from None
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _rest_measure(values, j: int) -> float:
+    """Measure of every zero but #j; 1.0 when none is left."""
+    rest = [v for i, v in enumerate(values) if i != j]
+    return measure(rest) if rest else 1.0
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,8 @@ class Limitedness:
 
 
 def is_epsilon_limited(roots: RootsLike, eps: float) -> Limitedness:
-    """Strict comparison measure < eps; eps must be positive."""
-    if not eps > 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    """Strict comparison measure < eps; eps must be positive and finite."""
+    _require_positive_finite("epsilon", eps)
     m = measure(roots)
     return Limitedness(measure=m, epsilon=float(eps), is_limited=m < eps)
 
@@ -93,7 +102,6 @@ def check_product_proposition(
     q_roots: RootsLike,
     eps: float,
     delta: float,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> ClaimVerdict:
     """Product closure: eps-limited times delta-limited is (eps*delta)-limited.
 
@@ -101,8 +109,8 @@ def check_product_proposition(
     but the underlying measure identity M(PQ) = M(P) M(Q) is verified
     regardless and reported in the details.
     """
-    if not eps > 0 or not delta > 0:
-        raise ValueError("eps and delta must be positive")
+    _require_positive_finite("eps", eps)
+    _require_positive_finite("delta", delta)
     rp = RootMultiset(p_roots)
     rq = RootMultiset(q_roots)
     mp = measure(rp)
@@ -111,17 +119,17 @@ def check_product_proposition(
     m_prod = measure(combined)
 
     separate = mp * mq
-    identity_gap = tol.gap(m_prod, separate)
+    identity_gap = DEFAULT_TOL.gap(m_prod, separate)
     identity_holds = abs(m_prod - separate) <= identity_gap
 
     disjoint = not set(rp.roots) & set(rq.roots)
     hypotheses = (
-        hypothesis_check("first-eps-limited", eps - mp, tol.gap(eps, mp)),
-        hypothesis_check("second-delta-limited", delta - mq, tol.gap(delta, mq)),
+        hypothesis_check("first-eps-limited", eps - mp, DEFAULT_TOL.gap(eps, mp)),
+        hypothesis_check("second-delta-limited", delta - mq, DEFAULT_TOL.gap(delta, mq)),
         hypothesis_check("zero-sets-disjoint", 1.0 if disjoint else -1.0),
     )
     bound = eps * delta
-    concl = conclusion_check(bound - m_prod, tol.gap(bound, m_prod))
+    concl = conclusion_check(bound - m_prod, DEFAULT_TOL.gap(bound, m_prod))
     return build_verdict(
         ClaimId.PRODUCT_PROP,
         hypotheses,

@@ -9,6 +9,7 @@ whole module is safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -61,15 +62,18 @@ RootsLike = Union["RootMultiset", Iterable[complex]]
 
 @dataclass(frozen=True)
 class RootMultiset:
-    """Ordered multiset of zeros; duplicates allowed, order preserved."""
+    """Ordered multiset of finite zeros; duplicates allowed, order preserved."""
 
     roots: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         raw = self.roots.roots if isinstance(self.roots, RootMultiset) else self.roots
-        coerced = tuple(complex(r) for r in raw)
+        coerced = tuple(map(complex, raw))
         if not coerced:
             raise ValueError("a root multiset needs at least one root")
+        if not all(map(cmath.isfinite, coerced)):
+            i = next(i for i, r in enumerate(coerced) if not cmath.isfinite(r))
+            raise RootDomainError(i, coerced[i], "finite")
         object.__setattr__(self, "roots", coerced)
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .claims import _STIRLING_N_MAX, run_claim
 from .critical import ConvergenceError, critical_points
-from .measure import measure
+from .measure import _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
 from .serialize import canonical_dumps, to_jsonable
 from .verdicts import ClaimId, ClaimVerdict, Classification
@@ -49,6 +50,10 @@ MARGIN_BIN_EDGES = (-1.0, -0.1, -0.01, 0.0, 0.01, 0.1, 1.0)
 
 _DISTRIBUTION_KINDS = ("uniform", "log-uniform", "complex-disk")
 _POLICY_KINDS = ("fixed", "measure-times")
+
+# Logarithms of the least normal and the largest double.
+_LOG_MIN = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _parse_distribution(spec: str):
@@ -82,8 +87,8 @@ def _parse_policy(spec: str):
         value = float(rest)
     except ValueError:
         raise ValueError(f"malformed eps policy value in {spec!r}") from None
-    if not value > 0:
-        raise ValueError(f"eps policy value must be positive, got {spec!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"eps policy value must be positive and finite, got {spec!r}")
     return kind, value
 
 
@@ -132,8 +137,7 @@ class SearchConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.counterexample_cap < 0:
             raise ValueError("counterexample_cap must be nonnegative")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        _require_positive_finite("delta", self.delta)
         if (
             self.claim_id in (ClaimId.BASIC_INEQUALITY, ClaimId.DERIV_SUM_BOUND)
             and self.degree_max > _STIRLING_N_MAX
@@ -142,13 +146,26 @@ class SearchConfig:
                 f"{self.claim_id.value} needs degree_max <= {_STIRLING_N_MAX} "
                 "(its factorial and Stirling sums stay in double range only that far)"
             )
-        kind, _ = _parse_distribution(self.distribution)
-        _parse_policy(self.epsilon_policy)
+        kind, params = _parse_distribution(self.distribution)
+        policy, factor = _parse_policy(self.epsilon_policy)
         if kind == "complex-disk" and self.claim_id is not ClaimId.PRODUCT_PROP:
             raise ValueError(
                 f"{self.claim_id.value} needs positive real zeros; "
                 "complex-disk sweeps support PRODUCT_PROP only"
             )
+        # Every measure a sample takes, and every eps drawn from one, stays
+        # in double range when these powers of the distribution's bounds do.
+        # PRODUCT_PROP also takes the measure of both multisets together.
+        zeros = self.degree_max * (2 if self.claim_id is ClaimId.PRODUCT_PROP else 1)
+        scale = math.log(factor) if policy == "measure-times" else 0.0
+        for b in params:
+            logs = (zeros * math.log(b), scale + self.degree_max * math.log(b))
+            if not all(_LOG_MIN <= v <= _LOG_MAX for v in logs):
+                raise ValueError(
+                    f"distribution {self.distribution!r} with eps policy "
+                    f"{self.epsilon_policy!r}: measures of up to {zeros} zeros, or eps "
+                    "values drawn from them, would leave double range"
+                )
 
 
 @dataclass(frozen=True)
@@ -189,9 +206,7 @@ def _resolve_eps(policy: str, roots: RootMultiset, claim: ClaimId) -> float:
         return value
     if claim is ClaimId.PRODUCT_PROP:
         return value * measure(roots)
-    j = roots.min_modulus_index()
-    rest = [r for i, r in enumerate(roots.roots) if i != j]
-    return value * (measure(rest) if rest else 1.0)
+    return value * _rest_measure(roots.roots, roots.min_modulus_index())
 
 
 def _margin_bucket(margin: float) -> int:

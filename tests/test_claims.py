@@ -293,3 +293,15 @@ def test_run_claim_dispatch_and_validation():
         run_claim("product_prop", [1, 2], eps=1, delta=1)  # second multiset missing
     verdict = run_claim("product_prop", [0.5], eps=1, delta=1, second_roots=[0.5])
     assert verdict.claim_id is ClaimId.PRODUCT_PROP
+
+
+@pytest.mark.parametrize("claim", ["basic_inequality", "squeeze", "perm_sum_bound",
+                                   "deriv_sum_bound", "product_prop"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_run_claim_rejects_non_finite_bounds(claim, bad):
+    kwargs = {"second_roots": [3.0]} if claim == "product_prop" else {}
+    with pytest.raises(ValueError, match="finite"):
+        run_claim(claim, [1.0, 2.0], eps=bad, delta=1.0, **kwargs)
+    if claim in ("squeeze", "product_prop"):
+        with pytest.raises(ValueError, match="finite"):
+            run_claim(claim, [1.0, 2.0], eps=1.0, delta=bad, **kwargs)

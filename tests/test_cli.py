@@ -205,6 +205,25 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
     assert err.startswith("limpoly search: error:") and "degree_max" in err
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["analyze", "--roots", "1e400,1"], "finite"),
+        (["verify", "--claim", "basic_inequality", "--roots", "1,2", "--eps", "inf"], "finite"),
+        (["analyze", "--roots", "1e200,1e200"], "out of double range"),
+        (["search", "--claim", "index_bound", "--degree", "3", "--samples", "5",
+          "--dist", "uniform:1e300,1e305"], "double range"),
+    ],
+    ids=["infinite-root", "infinite-eps", "measure-overflow", "search-range"],
+)
+def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"limpoly {argv[0]}: error:") and word in err
+
+
 def test_search_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("LIMPOLY_SEED", "123")
     argv = [

@@ -27,10 +27,12 @@ def test_measure_zero_root():
 
 
 def test_measure_log_domain_extremes():
-    # values far outside the linear window go through the log path
+    # intermediate products far outside double range stay exact in
+    # mantissa/exponent form; only the final product has to fit
     assert measure([1e300, 1e-300]) == pytest.approx(1.0, rel=1e-10)
     big = [2.0] * 64
     assert measure(big) == pytest.approx(2.0**64, rel=1e-10)
+    assert abs(measure([1e200, 1e200, 1e-300]) - 1e100) <= 4 * math.ulp(1e100)
 
 
 def test_is_epsilon_limited_strict():
@@ -43,6 +45,9 @@ def test_is_epsilon_limited_strict():
         is_epsilon_limited([1], 0)
     with pytest.raises(ValueError):
         is_epsilon_limited([1], -1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            is_epsilon_limited([1], bad)
 
 
 def test_conjugate_roots():
@@ -90,6 +95,10 @@ def test_product_proposition_examples():
 def test_product_proposition_rejects_bad_bounds():
     with pytest.raises(ValueError):
         check_product_proposition([1], [2], 0, 1)
+    with pytest.raises(ValueError):
+        check_product_proposition([1], [2], math.inf, 1)
+    with pytest.raises(ValueError):
+        check_product_proposition([1], [2], 1, math.nan)
 
 
 nonzero_complex = st.complex_numbers(

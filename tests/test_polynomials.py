@@ -116,6 +116,16 @@ def test_root_multiset_validation():
         RootMultiset([1, -2]).positive_reals()
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, complex(1, math.inf), complex(math.nan, 0)]
+)
+def test_root_multiset_rejects_non_finite_zeros(bad):
+    with pytest.raises(RootDomainError) as info:
+        RootMultiset([1, 2, bad, 3])
+    assert info.value.index == 2
+    assert info.value.requirement == "finite"
+
+
 def test_tolerance_combined_form():
     tol = Tolerance(abs=1e-3, rel=1e-2)
     assert tol.close(100.0, 100.9)

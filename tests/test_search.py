@@ -104,6 +104,19 @@ def test_config_validation():
         SearchConfig(**{**good, "claim_id": claim, "degree_max": 120})
         with pytest.raises(ValueError, match="degree_max"):
             SearchConfig(**{**good, "claim_id": claim, "degree_max": 121})
+    for bad in ({"epsilon_policy": "fixed:inf"}, {"delta": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(**{**good, **bad})
+    # measures of these samples overflow, or underflow to zero
+    for bad in (
+        {"distribution": "uniform:1e300,1e305"},
+        {"claim_id": "perm_sum_bound", "distribution": "log-uniform:1e-300,1e-290"},
+        {"claim_id": "product_prop", "degree_max": 200, "distribution": "complex-disk:10"},
+    ):
+        with pytest.raises(ValueError, match="double range"):
+            SearchConfig(**{**good, **bad})
+    SearchConfig(**{**good, "claim_id": "product_prop", "degree_max": 150,
+                    "distribution": "complex-disk:10"})
 
 
 # ---------------------------------------------------------------------------
