@@ -1,8 +1,11 @@
 """Critical points and zero-to-critical-point distances.
 
-For real zero sets the solver brackets one derivative zero between each
-pair of neighbouring distinct zeros (repeated zeros are their own
-critical points); for complex zero sets it runs simultaneous iteration.
+The solver works on the zeros, so every polynomial here comes from
+from_roots.  Repeated zeros are their own critical points.  For real
+zero sets it brackets one derivative zero between each pair of
+neighbouring distinct zeros; for complex zero sets it runs Aberth
+sweeps on the secular form sum m_i / (z - v_i) of the distinct zeros,
+and finishes a multiple critical point by Newton on a higher derivative.
 """
 
 import math
@@ -40,7 +43,7 @@ for k in (1, 2):
 print("the last derivative always vanishes at the centroid of the zeros (here 2).")
 
 print()
-print("== complex zeros use the simultaneous path ==")
+print("== complex zeros use the secular Aberth path ==")
 quartic = from_roots([1, 1j, -1, -1j])  # x^4 - 1
 crit = critical_points(quartic)
 print(f"zeros at the fourth roots of unity -> criticals {[complex(round(z.real, 9), round(z.imag, 9)) for z in crit.points]}")

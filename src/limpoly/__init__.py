@@ -56,7 +56,6 @@ from .polynomials import (
     evaluate,
     evaluation_scale,
     from_roots,
-    monic_normalize,
     permutation_sum_derivative,
     taylor_shift,
 )

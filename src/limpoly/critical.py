@@ -1,17 +1,21 @@
 """Zeros of the derivative (and higher derivatives) of a monic polynomial.
 
-Two code paths:
+Critical points are found from the zeros alone, so the polynomial must
+carry them (build it with from_roots); coefficients feed only the
+reported residuals.  Coincident zeros are grouped, and a zero of
+multiplicity m is its own critical point m - 1 times.  The others are
+the zeros of the logarithmic derivative sum f(z) = sum m_i / (z - v_i)
+over the distinct zeros v_i.  Two code paths:
 
-* all zeros known and real: sort, cluster coincident zeros, and bisect
-  on the sign of the logarithmic derivative sum m_i / (x - v_i) for the
-  single derivative zero in each open interval between distinct zeros.
-  A zero of multiplicity m contributes itself m-1 times.  Points come
-  from the zeros alone (coefficients feed only the reported residuals);
-  higher derivatives repeat the step on the previous stage's points.
-* otherwise: normalize the derivative to monic and run a simultaneous
-  (Aberth-style) Jacobi iteration from equally spaced points on a circle,
-  polishing each converged point with Newton.
+* all zeros real: f is strictly decreasing between neighbouring distinct
+  zeros, so bisection on its sign finds the one critical point in each
+  open interval.
+* otherwise: Aberth sweeps on the secular form of the zeros, that is on
+  Q(z) = f(z) prod (z - v_i) evaluated through f.  Iterates that close in
+  on an m-fold critical point are finished together by Newton on the
+  m-th derivative, which has a simple zero there.
 
+Higher derivatives repeat the step on the previous stage's points.
 Solver state is per call; calls are independent and concurrency-safe.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .polynomials import (
@@ -134,129 +139,122 @@ def _real_critical_points(values) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# simultaneous-iteration path
+# complex path: Aberth sweeps on the secular form of the zeros
 
 
-def _newton_ratio(coeffs, deriv_coeffs, z: complex) -> complex:
-    """p(z)/p'(z), using the reversed-coefficient form for |z| > 1 so that
-    points on the (possibly huge) starting circle cannot overflow."""
-    if abs(z) <= 1.0:
-        value = _horner(coeffs, z)
-        slope = _horner(deriv_coeffs, z)
-        if slope == 0:
-            return _nudge(z) if value != 0 else 0j
-        return value / slope
-    w = 1.0 / z
-    high = _horner(tuple(reversed(coeffs)), w)  # p(z) / z^n
-    low = _horner(tuple(reversed(deriv_coeffs)), w)  # p'(z) / z^(n-1)
-    if low == 0:
-        return _nudge(z) if high != 0 else 0j
-    return z * high / low
+def _groups(items, near) -> list[list]:
+    """Items grouped by chains of near pairs."""
+    groups: list[list] = []
+    for x in items:
+        joined = [g for g in groups if any(near(x, y) for y in g)]
+        groups = [g for g in groups if all(g is not h for h in joined)]
+        groups.append([x] + [y for g in joined for y in g])
+    return groups
 
 
-def _nudge(z: complex) -> complex:
-    return 1e-6 * (1.0 + abs(z)) * (1 + 1j)
+def _secular(clusters, z: complex) -> tuple[complex, complex, complex, float]:
+    """f = sum m/(z - v), g = sum m/(z - v)^2, h = sum 1/(z - v), and sum m/|z - v|.
 
-
-def _start_radius(coeffs) -> float:
-    """Fujiwara-style bound on the largest root modulus of a monic vector.
-
-    The plain Cauchy bound 1 + max |c_k| can exceed the true root bound by
-    many orders of magnitude at desk-scale degrees, and the iteration only
-    contracts like (1 - 1/n) per sweep from far away, so the sweep budget
-    could never close that gap.
+    Q(z) = f(z) prod (z - v) vanishes at the critical points that are not
+    zeros of P, and Q/Q' = f / (f h - g).
     """
-    n = len(coeffs) - 1
-    largest = 0.0
-    for k in range(1, n + 1):
-        magnitude = abs(coeffs[n - k])
-        if k == n:
-            magnitude /= 2.0
-        if magnitude > 0.0:
-            largest = max(largest, magnitude ** (1.0 / k))
-    return 1.0 + 2.0 * largest
+    f = g = h = 0j
+    size = 0.0
+    for v, m in clusters:
+        w = 1.0 / (z - v)
+        f += m * w
+        g += m * w * w
+        h += w
+        size += m * abs(w)
+    return f, g, h, size
 
 
-_MACHINE_EPS = 2.220446049250313e-16
+def _multiple_zero(clusters, b: complex, m: int, scale: float, floor: float) -> complex | None:
+    """Newton on P^(m) from b, which has a simple zero at an m-fold zero of P'.
 
-
-def _roundoff_floor(coeffs, z: complex) -> float:
-    """Worst-case roundoff of Horner at z: about 2n eps sum |c_k| |z|^k.
-
-    No max(1, .) flooring here; for vectors with exact zero coefficients
-    the bound must shrink with |z| or a still-improving iterate near the
-    origin would be declared done too early.
+    P^(j)/P = j! e_j, with e_j the elementary symmetric functions of the
+    1/(z - a_i), so the step is e_m / ((m + 1) e_{m+1}).  None unless the
+    steps settle where f vanishes to roundoff.
     """
-    n = len(coeffs) - 1
-    base = abs(z)
-    total = 0.0
-    power = 1.0
-    for c in coeffs:
-        total += abs(c) * power
-        power *= base
-    return (2.0 * n + 2.0) * _MACHINE_EPS * total
+    try:
+        for _ in range(_SWEEP_BUDGET):
+            e = [1 + 0j] + [0j] * (m + 1)
+            for v, k in clusters:
+                w = 1.0 / (b - v)
+                for _ in range(k):
+                    for j in range(m + 1, 0, -1):
+                        e[j] += w * e[j - 1]
+            step = e[m] / ((m + 1) * e[m + 1])
+            b -= step
+            if abs(step) <= _STEP_TOL * max(abs(b), scale):
+                f, _, _, size = _secular(clusters, b)
+                return b if abs(f) <= floor * size else None
+    except ZeroDivisionError:  # b hit a zero, or e_{m+1} vanished
+        pass
+    return None
 
 
-def _aberth(coeffs, budget: int = _SWEEP_BUDGET, step_tol: float = _STEP_TOL) -> list[complex]:
-    """All zeros of a monic coefficient vector by Gauss-Seidel Aberth sweeps."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return [-coeffs[0]]
-    deriv_coeffs = _derive(coeffs)
-    radius = _start_radius(coeffs)
-    offset = math.pi / (2 * n)
-    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + offset)) for k in range(n)]
-    worst = math.inf
+def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[complex]:
+    """Sorted zeros of the derivative of prod(z - v) for complex values v.
+
+    Gauss-Seidel Aberth sweeps on the zeros of Q, from a circle about the
+    weighted centroid with half the zeros' spread as radius.  An iterate
+    is done when f is at its roundoff floor or its step is below
+    _STEP_TOL of max(|z|, spread).  Iterates whose inclusion discs
+    (radius deg Q * |Q/Q'|) overlap close in on one m-fold critical
+    point; Newton on P^(m) from their mean finishes it, and is kept only
+    where f vanishes to roundoff.
+    """
+    clusters = [
+        (sum(g) / len(g), len(g))
+        for g in _groups(values, lambda u, w: abs(u - w) <= _CLUSTER_GAP)
+    ]
+    points = [v for v, m in clusters for _ in range(m - 1)]
+    d = len(clusters) - 1  # degree of Q
+    n = len(values)
+    center = sum(m * v for v, m in clusters) / n
+    spread = max(abs(v - center) for v, _ in clusters)
+    floor = 4 * n * sys.float_info.epsilon
+    # the 0.4 offset keeps the start off the symmetry axes of the zeros
+    z = [center + 0.5 * spread * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+    done = [False] * d
     for _ in range(budget):
-        worst = 0.0
-        for i in range(n):
-            zi = z[i]
-            inv_sum = 0j
-            collided = False
-            for j in range(n):
-                if i == j:
-                    continue
-                diff = zi - z[j]
-                if diff == 0:
-                    collided = True
-                    break
-                inv_sum += 1.0 / diff
-            if collided:
-                z[i] = zi + 1e-8 * (1.0 + abs(zi)) * cmath.exp(2j * math.pi * i / n)
-                worst = math.inf
-                continue
-            ratio = _newton_ratio(coeffs, deriv_coeffs, zi)
-            den = 1.0 - ratio * inv_sum
-            step = ratio if den == 0 else ratio / den
-            z[i] = zi - step
-            rel = abs(step) / (1.0 + abs(z[i]))
-            if rel > worst:
-                # a value at the Horner roundoff floor has every obtainable
-                # digit already; step jitter there is not non-convergence
-                value = abs(_horner(coeffs, z[i]))
-                if value > _roundoff_floor(coeffs, z[i]):
-                    worst = rel
-        if worst <= step_tol:
+        if all(done):
             break
-    else:
-        residuals = tuple(_scaled_residual(coeffs, zi) for zi in z)
+        for i, zi in enumerate(z):
+            if done[i]:
+                continue
+            try:
+                f, g, h, size = _secular(clusters, zi)
+                pull = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                step = f / (f * (h - pull) - g)
+            except ZeroDivisionError:  # on a zero or another iterate
+                z[i] = zi + _STEP_TOL * spread * (1 + 1j)
+                continue
+            z[i] = zi - step
+            done[i] = abs(f) <= floor * size or abs(step) <= _STEP_TOL * max(abs(z[i]), spread)
+    if not all(done):
+        sums = [_secular(clusters, zi) for zi in z]
         raise ConvergenceError(
-            f"no convergence after {budget} sweeps (worst step {worst:.3e})",
+            f"no convergence after {budget} sweeps",
             tuple(z),
-            residuals,
+            tuple(abs(f) / size for f, _, _, size in sums),
         )
-    return [_polish(coeffs, deriv_coeffs, zi) for zi in z]
-
-
-def _polish(coeffs, deriv_coeffs, z: complex, steps: int = 3) -> complex:
-    best = z
-    best_res = _scaled_residual(coeffs, z)
-    for _ in range(steps):
-        z = z - _newton_ratio(coeffs, deriv_coeffs, z)
-        res = _scaled_residual(coeffs, z)
-        if res < best_res:
-            best, best_res = z, res
-    return best
+    radii = []
+    for zi in z:
+        f, g, h, _ = _secular(clusters, zi)
+        den = abs(f * h - g)
+        radii.append(d * abs(f) / den if den else math.inf)
+    for group in _groups(range(d), lambda i, j: abs(z[i] - z[j]) <= radii[i] + radii[j]):
+        if len(group) > 1:
+            mean = sum(z[i] for i in group) / len(group)
+            b = _multiple_zero(clusters, mean, len(group), spread, floor)
+            if b is not None:
+                for i in group:
+                    z[i] = b
+    points += z
+    points.sort(key=lambda b: (b.real, b.imag))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -270,42 +268,41 @@ def _critical_set(coeffs, points, method: str) -> CriticalSet:
     return CriticalSet(points=points, residuals=residuals, method=method)
 
 
-def _simultaneous(coeffs) -> CriticalSet:
-    """All zeros of a coefficient vector by Aberth iteration, sorted."""
-    monic = tuple(c / coeffs[-1] for c in coeffs[:-1]) + (1 + 0j,)
-    found = sorted(_aberth(monic), key=lambda w: (w.real, w.imag))
-    return _critical_set(coeffs, found, SIMULTANEOUS)
-
-
 def critical_points(p: MonicPolynomial) -> CriticalSet:
-    """All zeros of P', counted with multiplicity (degree - 1 of them)."""
+    """All zeros of P', counted with multiplicity (degree - 1 of them).
+
+    The polynomial must carry its zeros (build it with from_roots).
+    """
     if p.degree < 2:
         raise ValueError("critical points need degree at least 2")
+    if p.roots is None:
+        raise ValueError("critical points need the zeros; build the polynomial with from_roots")
     deriv_coeffs = derivative(p)
-    if p.roots is not None and p.roots.is_real():
+    if p.roots.is_real():
         return _critical_set(deriv_coeffs, _real_critical_points(p.roots.reals()), INTERLACE)
-    return _simultaneous(deriv_coeffs)
+    return _critical_set(deriv_coeffs, _complex_critical_points(p.roots.roots), SIMULTANEOUS)
 
 
 def higher_derivative_zeros(p: MonicPolynomial, k: int) -> CriticalSet:
     """All zeros of the k-th derivative, 1 <= k <= degree - 1.
 
-    With known real zeros the solver walks down one derivative at a time
-    on the zeros alone, each stage interlacing the one before; otherwise
-    it differentiates k times and solves once.  Residuals are taken
-    against the k-th derivative's coefficients either way.
+    Stage 1 is critical_points(p); each later stage solves on the previous
+    stage's points, which are the zeros of the derivative before it.
+    Residuals are taken against the k-th derivative's coefficients.
     """
     if not 1 <= k <= p.degree - 1:
         raise ValueError(f"order must be in 1..{p.degree - 1}, got {k}")
     coeffs = derivative(p)
     for _ in range(k - 1):
         coeffs = _derive(coeffs)
-    if p.roots is not None and p.roots.is_real():
-        points = [b.real for b in critical_points(p).points]
-        for _ in range(k - 1):
-            points = _real_critical_points(points)
-        return _critical_set(coeffs, points, INTERLACE)
-    return _simultaneous(coeffs)
+    crit = critical_points(p)
+    if crit.method == INTERLACE:
+        points, solve = [b.real for b in crit.points], _real_critical_points
+    else:
+        points, solve = list(crit.points), _complex_critical_points
+    for _ in range(k - 1):
+        points = solve(points)
+    return _critical_set(coeffs, points, crit.method)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .measure import _rest_measure
@@ -60,6 +61,8 @@ def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> Lo
         # y * prod (y - r_i): the product's coefficients are s_1..s_n directly.
         product = from_roots(gaps)
         coeffs = tuple(c.real for c in product.coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise OverflowError("expansion coefficients are out of double range")
     else:
         coeffs = (1.0,)
     return LocalExpansion(

@@ -24,7 +24,6 @@ __all__ = [
     "evaluate",
     "evaluation_scale",
     "from_roots",
-    "monic_normalize",
     "permutation_sum_derivative",
     "taylor_shift",
 ]
@@ -119,7 +118,7 @@ class MonicPolynomial:
     """Coefficients c_0..c_n in ascending order with c_n exactly 1.
 
     Optionally remembers the zeros it was built from; the critical-point
-    solver uses them to pick the robust all-real code path.
+    solver works on them and rejects a polynomial without them.
     """
 
     coeffs: tuple[complex, ...]
@@ -192,11 +191,7 @@ def evaluation_scale(p, z: complex) -> float:
 
 
 def derivative(p) -> tuple[complex, ...]:
-    """Coefficient vector of P': one degree lower, leading coefficient n.
-
-    The result is not monic; callers that need a monic polynomial must
-    normalize (see monic_normalize).
-    """
+    """Coefficient vector of P': one degree lower, leading coefficient n (not monic)."""
     cs = _coeffs_of(p)
     if len(cs) < 2:
         raise ValueError("degree must be at least 1")
@@ -263,11 +258,3 @@ def permutation_sum_derivative(roots: RootsLike, z: complex) -> complex:
         total += prefix[i] * suffix[i + 1]
     return total
 
-
-def monic_normalize(coeffs: Sequence[complex], roots: RootsLike | None = None) -> MonicPolynomial:
-    """Divide a coefficient vector by its leading coefficient."""
-    cs = tuple(complex(c) for c in coeffs)
-    if cs[-1] == 0:
-        raise ValueError("leading coefficient is zero")
-    lead = cs[-1]
-    return MonicPolynomial(tuple(c / lead for c in cs[:-1]) + (1 + 0j,), roots=roots)

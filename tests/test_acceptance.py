@@ -7,12 +7,14 @@ number below is reproducible.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import limpoly
 from limpoly import (
     SearchConfig,
     canonical_dumps,
@@ -41,6 +43,18 @@ from limpoly import (
 
 def _ok(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:2d} PASS  {message}")
+
+
+def _run_cli(argv):
+    """Run the CLI in a child interpreter that imports this limpoly."""
+    source = os.path.dirname(os.path.dirname(os.path.abspath(limpoly.__file__)))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "limpoly.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def _disk_points(rng, radius, n):
@@ -166,8 +180,7 @@ def test_criterion_05_critical_solver():
                 assert lo < b < hi  # interlacing
         else:
             roots = _disk_points(rng, 5.0, n)
-            p = from_roots(roots)
-            cset = critical_points(type(p)(p.coeffs))
+            cset = critical_points(from_roots(roots))
             scale = max(1.0, max(abs(r) for r in roots))
             for b in cset.points:
                 assert hull_distance(b, roots) <= 1e-8 * scale  # containment
@@ -201,14 +214,11 @@ def test_criterion_06_index_bound_known_instances():
 
 
 def test_criterion_07_squeeze_counterexample_via_cli():
-    result = subprocess.run(
+    result = _run_cli(
         [
-            sys.executable, "-m", "limpoly.cli",
             "verify", "--claim", "squeeze", "--roots", "0.001,0.001,500",
             "--eps", "1", "--delta", "1", "--json",
-        ],
-        capture_output=True,
-        text=True,
+        ]
     )
     assert result.returncode == 2
     verdict = json.loads(result.stdout)["results"]["verdict"]
@@ -263,12 +273,11 @@ def test_criterion_09_permutation_sum_identity():
 
 def test_criterion_10_search_determinism():
     argv = [
-        sys.executable, "-m", "limpoly.cli",
         "search", "--claim", "index_bound", "--degree", "3", "--samples", "200",
         "--seed", "42", "--dist", "uniform:0.05,0.5", "--json",
     ]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    first = _run_cli(argv)
+    second = _run_cli(argv)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
 

@@ -270,6 +270,9 @@ def test_index_bound_claim():
     bad = check_index_bound([0.1, 0.2, 0.3])
     assert bad.classification is Classification.COUNTEREXAMPLE
     assert bad.details["violating_orders"] == [2]
+    # the coefficient 1e400 overflows: an error, not a CONFIRMED with margin -inf
+    with pytest.raises(OverflowError, match="double range"):
+        check_index_bound([1e-300, 1e200, 1e200, 1e-100])
 
 
 def test_index_bound_claim_singleton_vacuous():

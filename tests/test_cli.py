@@ -213,8 +213,14 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
         (["analyze", "--roots", "1e200,1e200"], "out of double range"),
         (["search", "--claim", "index_bound", "--degree", "3", "--samples", "5",
           "--dist", "uniform:1e300,1e305"], "double range"),
+        (["verify", "--claim", "index_bound", "--roots", "1e-300,1e200,1e200,1e-100"],
+         "double range"),
+        (["expand", "--center", "min", "--roots", "1e-300,1e200,1e200,1e-100"], "double range"),
     ],
-    ids=["infinite-root", "infinite-eps", "measure-overflow", "search-range"],
+    ids=[
+        "infinite-root", "infinite-eps", "measure-overflow", "search-range",
+        "index-bound-overflow", "expand-overflow",
+    ],
 )
 def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word):
     code, out, err = run_cli(capsys, *argv)

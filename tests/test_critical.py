@@ -8,12 +8,15 @@ from limpoly import (
     critical_points,
     from_roots,
     higher_derivative_zeros,
-    monic_normalize,
     sendov_distances,
 )
-from limpoly.critical import _aberth
-from limpoly.polynomials import derivative
-from oracles import hull_distance, real_derivative_tower
+from limpoly.critical import _complex_critical_points
+from oracles import (
+    certify_critical_points,
+    complex_derivative_zeros,
+    hull_distance,
+    real_derivative_tower,
+)
 
 
 def test_cubic_critical_points_closed_form():
@@ -55,36 +58,54 @@ def test_complex_path_quadratic_centroid():
 
 
 def test_complex_path_cubic_against_quadratic_formula():
-    roots = [0, 2, 2j]
-    crit = critical_points(from_roots(roots))
-    # P' = 3x^2 - 2(2 + 2j)x + 4j: solve directly
-    a, b, c = 3, -2 * (2 + 2j), 4j
-    disc = (b * b - 4 * a * c) ** 0.5
-    expected = sorted([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], key=lambda z: (z.real, z.imag))
-    for got, want in zip(crit.points, expected):
-        assert got == pytest.approx(want, abs=1e-10)
+    # the second input puts a zero exactly on a starting point of the iteration
+    for roots in ([0, 2, 2j], [-1, 1, 0.9030192574742872 + 0.38179041845009876j]):
+        crit = critical_points(from_roots(roots))
+        # P' = 3x^2 - 2(r1 + r2 + r3)x + (r1 r2 + r2 r3 + r3 r1): solve directly
+        r1, r2, r3 = roots
+        a, b, c = 3, -2 * (r1 + r2 + r3), r1 * r2 + r2 * r3 + r3 * r1
+        disc = (b * b - 4 * a * c) ** 0.5
+        expected = sorted(
+            [(-b + disc) / (2 * a), (-b - disc) / (2 * a)], key=lambda z: (z.real, z.imag)
+        )
+        for got, want in zip(crit.points, expected):
+            assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_coefficient_only_input_uses_simultaneous_path():
+def test_coefficient_only_input_is_rejected():
     squared = from_roots([1, 2, 3, 4])
     bare = type(squared)(squared.coeffs)  # drop the root multiset
-    crit = critical_points(bare)
-    assert crit.method == "simultaneous-iteration"
+    for solve in (critical_points, lambda p: higher_derivative_zeros(p, 2)):
+        with pytest.raises(ValueError, match="from_roots"):
+            solve(bare)
+    # the complex kernel agrees with the interlace path on real zeros
+    crit = _complex_critical_points([1, 2, 3, 4])
     known = critical_points(squared)
-    got = sorted(z.real for z in crit.points)
+    got = sorted(z.real for z in crit)
     want = sorted(z.real for z in known.points)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, abs=1e-9)
-    assert all(abs(z.imag) <= 1e-9 for z in crit.points)
+    assert all(abs(z.imag) <= 1e-9 for z in crit)
 
 
 def test_exact_multiple_zero_on_simultaneous_path():
     # derivative of x^4 - 1 is 4x^3: a triple zero at the origin
-    p = from_roots([1, 1j, -1, -1j])
-    bare = type(p)(p.coeffs)
-    crit = critical_points(bare)
+    crit = critical_points(from_roots([1, 1j, -1, -1j]))
+    assert crit.method == "simultaneous-iteration"
     assert len(crit.points) == 3
     assert all(abs(z) <= 1e-9 for z in crit.points)
+
+
+def test_repeated_complex_zeros_regression():
+    # P' = 16 (z - v1)^7 (z - v2)^7 (z - (v1 + v2)/2)
+    v1, v2 = 1 + 1j, -1 + 0.5j
+    roots = [v1] * 8 + [v2] * 8
+    crit = critical_points(from_roots(roots))
+    want = sorted([v1] * 7 + [v2] * 7 + [(v1 + v2) / 2], key=lambda z: (z.real, z.imag))
+    scale = abs(v1)
+    for got, ref in zip(crit.points, want):
+        assert abs(got - ref) <= 1e-13 * scale
+    assert max(hull_distance(b, roots) for b in crit.points) <= 1e-13 * scale
 
 
 def test_higher_derivative_zeros_examples():
@@ -102,8 +123,7 @@ def test_higher_derivative_zeros_examples():
 
 def test_higher_derivative_zeros_complex_path():
     p = from_roots([1, 1j, -1, -1j])
-    bare = type(p)(p.coeffs)
-    second = higher_derivative_zeros(bare, 2)  # 12x^2: double zero at 0
+    second = higher_derivative_zeros(p, 2)  # 12x^2: double zero at 0
     assert len(second.points) == 2
     assert all(abs(z) <= 1e-7 for z in second.points)
 
@@ -113,10 +133,10 @@ def _log_uniform(seed, n):
     return tuple(float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n)))
 
 
-def _unit_disk_moduli(seed, n):
+def _unit_disk(seed, n):
     rng = np.random.default_rng(seed)
     radius, angle = np.sqrt(rng.uniform(0, 1, n)), 2 * np.pi * rng.uniform(0, 1, n)
-    return tuple(abs(complex(r * math.cos(t), r * math.sin(t))) for r, t in zip(radius, angle))
+    return tuple(complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radius, angle))
 
 
 def _assert_relative_match(points, oracle, rel):
@@ -127,7 +147,9 @@ def _assert_relative_match(points, oracle, rel):
 
 
 @pytest.mark.parametrize(
-    "roots", [_log_uniform(5, 40), _unit_disk_moduli(7, 20)], ids=["log-uniform-40", "moduli-20"]
+    "roots",
+    [_log_uniform(5, 40), tuple(abs(z) for z in _unit_disk(7, 20))],
+    ids=["log-uniform-40", "moduli-20"],
 )
 def test_real_critical_points_match_mpmath(roots):
     crit = critical_points(from_roots(roots))
@@ -191,16 +213,28 @@ def test_interlacing_on_random_instances():
             assert lo < b < hi
 
 
+def _stress_instances(seed, count):
+    """Complex zeros with repeats, alternating with ones that hold a pair 1e-9 apart."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(2, 7))
+        base = [complex(x, y) for x, y in rng.uniform(-5, 5, (n, 2))]
+        if t % 2 == 0:
+            yield tuple(b for b in base for _ in range(int(rng.integers(1, 4))))
+        else:
+            yield tuple(base + [base[0] + 1e-9 * complex(*rng.uniform(-1, 1, 2))])
+
+
 def test_gauss_lucas_on_random_complex_instances():
     rng = np.random.default_rng(22)
+    random = []
     for _ in range(150):
         n = int(rng.integers(3, 8))
-        roots = tuple(
+        random.append(tuple(
             complex(x, y) for x, y in zip(rng.uniform(-5, 5, n), rng.uniform(-5, 5, n))
-        )
-        p = from_roots(roots)
-        bare = type(p)(p.coeffs)
-        crit = critical_points(bare)
+        ))
+    for roots in random + list(_stress_instances(32, 150)):
+        crit = critical_points(from_roots(roots))
         scale = max(1.0, max(abs(r) for r in roots))
         for b in crit.points:
             assert hull_distance(b, roots) <= 1e-8 * scale
@@ -208,13 +242,15 @@ def test_gauss_lucas_on_random_complex_instances():
 
 def test_critical_sum_identity():
     rng = np.random.default_rng(23)
+    random = []
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        roots = tuple(
+        random.append(tuple(
             complex(x, y) for x, y in zip(rng.uniform(-4, 4, n), rng.uniform(-4, 4, n))
-        )
-        p = from_roots(roots)
-        crit = critical_points(type(p)(p.coeffs))
+        ))
+    for roots in random + list(_stress_instances(33, 100)):
+        n = len(roots)
+        crit = critical_points(from_roots(roots))
         lhs = sum(crit.points)
         rhs = (n - 1) / n * sum(roots)
         scale = max(sum(abs(b) for b in crit.points), abs(rhs), 1e-12)
@@ -230,15 +266,45 @@ def test_high_degree_simultaneous_convergence():
         roots = tuple(
             complex(x, y) for x, y in zip(rng.uniform(-5, 5, n), rng.uniform(-5, 5, n))
         )
-        p = from_roots(roots)
-        crit = critical_points(type(p)(p.coeffs))
+        crit = critical_points(from_roots(roots))
         assert len(crit.points) == n - 1
         assert max(crit.residuals) <= 1e-8
 
 
+def _assert_complex_match(points, refs, tol):
+    free = list(refs)
+    assert len(points) == len(free)
+    for b in points:
+        k = min(range(len(free)), key=lambda i: abs(free[i] - b))
+        assert abs(free.pop(k) - b) <= tol, b
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_complex_critical_points_match_mpmath(n):
+    # polyroots is the oracle at degree 40; at 80 it is too slow, and the
+    # points are certified by 40-digit Newton refinement instead
+    for seed in (n + 1, n + 2):
+        roots = _unit_disk(seed, n)
+        points = critical_points(from_roots(roots)).points
+        if n <= 40:
+            refs = complex_derivative_zeros(roots)
+        else:
+            refs = certify_critical_points(roots, points)
+        _assert_complex_match(points, refs, 1e-13 * max(abs(r) for r in roots))
+
+
+def test_complex_tower_matches_mpmath():
+    roots = _unit_disk(12, 12)
+    p = from_roots(roots)
+    scale = max(abs(r) for r in roots)
+    for k in range(1, 12):
+        zeros = higher_derivative_zeros(p, k)
+        assert zeros.method == "simultaneous-iteration"
+        _assert_complex_match(zeros.points, complex_derivative_zeros(roots, k), 1e-13 * scale)
+
+
 def test_convergence_error_carries_iterates():
-    coeffs = monic_normalize(derivative(from_roots([1, 1j, -1, -1j]))).coeffs
     with pytest.raises(ConvergenceError) as err:
-        _aberth(coeffs, budget=2)
+        _complex_critical_points([1, 1j, -1, -1j], budget=2)
     assert len(err.value.iterates) == 3
     assert len(err.value.residuals) == 3

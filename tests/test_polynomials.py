@@ -14,7 +14,6 @@ from limpoly import (
     evaluate,
     evaluation_scale,
     from_roots,
-    monic_normalize,
     permutation_sum_derivative,
     taylor_shift,
 )
@@ -100,8 +99,6 @@ def test_monic_validation():
         MonicPolynomial((1, 2))  # leading coefficient 2
     with pytest.raises(ValueError):
         MonicPolynomial((1,))  # degree 0
-    p = monic_normalize((2, 4))
-    assert p.coeffs == (0.5, 1)
 
 
 def test_root_multiset_validation():
