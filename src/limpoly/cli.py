@@ -8,6 +8,7 @@ with --json); stderr carries diagnostics only.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -22,7 +23,6 @@ from .expansion import (
 from .measure import is_epsilon_limited, measure
 from .polynomials import (
     DEFAULT_TOL,
-    RootDomainError,
     RootMultiset,
     from_roots,
     taylor_shift,
@@ -110,6 +110,11 @@ def _report(command: str, inputs: dict, results: dict, diagnostics: dict | None 
 # human rendering
 
 
+def _num(v: float) -> str:
+    """Six decimals, or exponent form where those would hide a tiny or bloat a huge value."""
+    return f"{v:.6e}" if v != 0 and not 1e-4 <= abs(v) < 1e15 else f"{v:.6f}"
+
+
 def _fmt(x) -> str:
     # serialized complex values arrive as [re, im] pairs
     if isinstance(x, (list, tuple)) and len(x) == 2 and all(
@@ -118,11 +123,11 @@ def _fmt(x) -> str:
         x = complex(x[0], x[1])
     if isinstance(x, complex):
         if x.imag == 0:
-            return f"{x.real:.6f}"
+            return _num(x.real)
         sign = "+" if x.imag >= 0 else "-"
-        return f"{x.real:.6f}{sign}{abs(x.imag):.6f}i"
+        return f"{_num(x.real)}{sign}{_num(abs(x.imag))}i"
     if isinstance(x, float):
-        return f"{x:.6f}"
+        return _num(x)
     return str(x)
 
 
@@ -237,31 +242,25 @@ def _emit(report: dict, as_json: bool) -> None:
 # subcommands
 
 
+# The claims analyze checks, in report order, each with whether it needs eps.
+_ANALYZE_CLAIMS = (
+    (ClaimId.REAL_CASE, False), (ClaimId.INDEX_BOUND, False),
+    (ClaimId.BASIC_INEQUALITY, True), (ClaimId.SQUEEZE, True),
+    (ClaimId.PERM_SUM_BOUND, True), (ClaimId.DERIV_SUM_BOUND, True),
+)
+
+
 def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) -> dict:
-    claims: dict = {}
     if not rs.is_positive_real() or rs.n < 2:
         reason = "not-positive-real" if not rs.is_positive_real() else "degree-1"
-        for cid in ClaimId:
-            claims[cid.value.lower()] = _skipped(reason)
-        return claims
-    claims["real_case"] = to_jsonable(run_claim(ClaimId.REAL_CASE, rs, index_band=index_band))
-    claims["index_bound"] = to_jsonable(run_claim(ClaimId.INDEX_BOUND, rs))
-    if eps is None:
-        for name in ("basic_inequality", "squeeze", "perm_sum_bound", "deriv_sum_bound"):
-            claims[name] = _skipped("no-eps")
-    else:
-        claims["basic_inequality"] = to_jsonable(
-            run_claim(ClaimId.BASIC_INEQUALITY, rs, eps=eps)
-        )
-        claims["squeeze"] = to_jsonable(
-            run_claim(ClaimId.SQUEEZE, rs, eps=eps, delta=delta)
-        )
-        claims["perm_sum_bound"] = to_jsonable(
-            run_claim(ClaimId.PERM_SUM_BOUND, rs, eps=eps)
-        )
-        claims["deriv_sum_bound"] = to_jsonable(
-            run_claim(ClaimId.DERIV_SUM_BOUND, rs, eps=eps)
-        )
+        return {cid.value.lower(): _skipped(reason) for cid in ClaimId}
+    claims: dict = {}
+    for cid, needs_eps in _ANALYZE_CLAIMS:
+        if needs_eps and eps is None:
+            claims[cid.value.lower()] = _skipped("no-eps")
+        else:
+            verdict = run_claim(cid, rs, eps=eps, delta=delta, index_band=index_band)
+            claims[cid.value.lower()] = to_jsonable(verdict)
     claims["product_prop"] = _skipped("requires-two-polynomials")
     return claims
 
@@ -413,6 +412,8 @@ def _cmd_expand(args) -> int:
             center = float(selector[len("value:"):])
         except ValueError:
             raise UsageError(f"bad center value in {selector!r}") from None
+        if not math.isfinite(center):
+            raise UsageError(f"center value must be finite, got {selector!r}")
         shifted = taylor_shift(from_roots(rs), center)
         results = {
             "center": center,
@@ -459,58 +460,52 @@ def _attach_root_values(argv) -> list[str]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="limpoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="single canonical JSON document")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--delta", type=float, default=1.0)
+    bounds.add_argument("--index-band", type=float, default=1e-9)
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="single canonical JSON document")
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, as_json])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_analyze = sub.add_parser("analyze", help="full per-instance report")
-    p_analyze.add_argument("--roots", required=True, help="comma-separated complex literals")
-    p_analyze.add_argument("--eps", type=float, default=None)
-    p_analyze.add_argument("--delta", type=float, default=1.0)
-    p_analyze.add_argument("--index-band", type=float, default=1e-9)
-    p_analyze.add_argument("--slack", type=float, default=0.0)
-    add_common(p_analyze)
-    p_analyze.set_defaults(handler=_cmd_analyze)
+    p = command("analyze", _cmd_analyze, "full per-instance report", bounds)
+    p.add_argument("--roots", required=True, help="comma-separated complex literals")
+    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--slack", type=float, default=0.0)
 
-    p_verify = sub.add_parser("verify", help="check one claim on one instance")
-    p_verify.add_argument("--claim", required=True)
-    p_verify.add_argument("--roots", required=True)
-    p_verify.add_argument("--roots2", default=None, help="second multiset (product_prop)")
-    p_verify.add_argument("--eps", type=float, default=None)
-    p_verify.add_argument("--delta", type=float, default=1.0)
-    p_verify.add_argument("--index-band", type=float, default=1e-9)
-    add_common(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
+    p = command("verify", _cmd_verify, "check one claim on one instance", bounds)
+    p.add_argument("--claim", required=True)
+    p.add_argument("--roots", required=True)
+    p.add_argument("--roots2", default=None, help="second multiset (product_prop)")
+    p.add_argument("--eps", type=float, default=None)
 
-    p_search = sub.add_parser("search", help="seeded randomized claim sweep")
-    p_search.add_argument("--claim", required=True)
-    p_search.add_argument("--degree", default="2-6", help="N or MIN-MAX")
-    p_search.add_argument("--samples", type=int, required=True)
-    p_search.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
-    p_search.add_argument("--dist", default="log-uniform:0.001,1000")
-    p_search.add_argument("--eps-policy", default="measure-times:1.01")
-    p_search.add_argument("--delta", type=float, default=1.0)
-    p_search.add_argument("--index-band", type=float, default=1e-9)
-    p_search.add_argument("--cap", type=int, default=100)
-    p_search.add_argument("--out", default=None, help="append counterexample log here")
-    add_common(p_search)
-    p_search.set_defaults(handler=_cmd_search)
+    p = command("search", _cmd_search, "seeded randomized claim sweep", bounds)
+    p.add_argument("--claim", required=True)
+    p.add_argument("--degree", default="2-6", help="N or MIN-MAX")
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
+    p.add_argument("--dist", default="log-uniform:0.001,1000")
+    p.add_argument("--eps-policy", default="measure-times:1.01")
+    p.add_argument("--cap", type=int, default=100)
+    p.add_argument("--out", default=None, help="append counterexample log here")
 
-    p_expand = sub.add_parser("expand", help="local expansion about a chosen center")
-    p_expand.add_argument("--roots", required=True)
-    p_expand.add_argument("--center", default="min", help="min, max-plus, or value:<real>")
-    add_common(p_expand)
-    p_expand.set_defaults(handler=_cmd_expand)
-
+    p = command("expand", _cmd_expand, "local expansion about a chosen center")
+    p.add_argument("--roots", required=True)
+    p.add_argument("--center", default="min", help="min, max-plus, or value:<real>")
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_root_values(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_attach_root_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (UsageError, RootDomainError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # UsageError and RootDomainError included
         print(f"limpoly {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -113,7 +113,7 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
     """
     a, b = lo, hi
     for _ in range(200):
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b may overflow near the top of double range
         if mid <= a or mid >= b:
             break
         s = _log_derivative(clusters, mid)
@@ -123,7 +123,7 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
             b = mid
         else:
             return mid
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b
 
 
 def _real_critical_points(values) -> list[float]:

@@ -66,8 +66,10 @@ class RootMultiset:
     roots: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        raw = self.roots.roots if isinstance(self.roots, RootMultiset) else self.roots
-        coerced = tuple(map(complex, raw))
+        if isinstance(self.roots, RootMultiset):  # already coerced and checked
+            object.__setattr__(self, "roots", self.roots.roots)
+            return
+        coerced = tuple(map(complex, self.roots))
         if not coerced:
             raise ValueError("a root multiset needs at least one root")
         if not all(map(cmath.isfinite, coerced)):
@@ -218,7 +220,8 @@ def taylor_shift(p, c: complex) -> tuple[complex, ...]:
 
     Computed by repeated synthetic division by (x - c); the leading
     coefficient passes through each division untouched, so t_n is
-    exactly 1 for monic input.
+    exactly 1 for monic input.  Raises OverflowError when a coefficient
+    is not finite.
     """
     cs = list(_coeffs_of(p))
     center = complex(c)
@@ -232,6 +235,8 @@ def taylor_shift(p, c: complex) -> tuple[complex, ...]:
         out.append(acc)
         quotient.reverse()
         cs = quotient
+    if not all(map(cmath.isfinite, out)):
+        raise OverflowError("shift coefficients are out of double range")
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .claims import _STIRLING_N_MAX, run_claim
-from .critical import ConvergenceError, critical_points
+from .critical import ConvergenceError, critical_points, sendov_distances
 from .measure import _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
 from .serialize import canonical_dumps, to_jsonable
@@ -99,12 +99,10 @@ def generate_roots(distribution: str, n: int, rng: np.random.Generator) -> RootM
     kind, params = _parse_distribution(distribution)
     if kind == "uniform":
         lo, hi = params
-        values = rng.uniform(lo, hi, n)
-        return RootMultiset(tuple(complex(v) for v in values))
+        return RootMultiset(rng.uniform(lo, hi, n))
     if kind == "log-uniform":
         lo, hi = params
-        values = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
-        return RootMultiset(tuple(complex(v) for v in values))
+        return RootMultiset(np.exp(rng.uniform(math.log(lo), math.log(hi), n)))
     radius = params[0]
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -200,8 +198,8 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _resolve_eps(policy: str, roots: RootMultiset, claim: ClaimId) -> float:
-    kind, value = _parse_policy(policy)
+def _resolve_eps(policy: tuple[str, float], roots: RootMultiset, claim: ClaimId) -> float:
+    kind, value = policy
     if kind == "fixed":
         return value
     if claim is ClaimId.PRODUCT_PROP:
@@ -238,6 +236,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     counts = _empty_counts()
     histograms: dict[int, list[int]] = {}
     found: list[CounterexampleRecord] = []
+    policy = _parse_policy(config.epsilon_policy)
 
     for index in range(start, end):
         rng = _sample_rng(config.seed, index)
@@ -246,10 +245,8 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
         second = None
         if config.claim_id is ClaimId.PRODUCT_PROP:
             second = generate_roots(config.distribution, degree, rng)
-        eps = _resolve_eps(config.epsilon_policy, roots, config.claim_id)
-        delta = config.delta
-        if config.claim_id is ClaimId.PRODUCT_PROP and second is not None:
-            delta = _resolve_eps(config.epsilon_policy, second, config.claim_id)
+        eps = _resolve_eps(policy, roots, config.claim_id)
+        delta = config.delta if second is None else _resolve_eps(policy, second, config.claim_id)
         try:
             verdict = run_claim(
                 config.claim_id,
@@ -382,8 +379,7 @@ def modulus_projection(complex_roots: RootsLike) -> RootMultiset:
     Zero moduli are not an error here; downstream positivity-requiring
     operations reject them on their own terms.
     """
-    rs = RootMultiset(complex_roots)
-    return RootMultiset(tuple(complex(abs(r)) for r in rs.roots))
+    return RootMultiset(RootMultiset(complex_roots).moduli())
 
 
 @dataclass(frozen=True)
@@ -418,11 +414,10 @@ def complex_pullback_check(complex_roots: RootsLike, slack: float = 0.0) -> Pull
     true_crit = critical_points(from_roots(rs))
     projected_crit = critical_points(from_roots(projected))
 
-    j = rs.min_modulus_index()
-    anchor = rs.roots[j]
-    per_root = tuple(min(abs(a - b) for b in true_crit.points) for a in rs.roots)
-    min_distance = per_root[j]
-    projected_anchor = abs(anchor)
+    table = sendov_distances(rs, true_crit)
+    j = table.min_zero_index
+    min_distance = table.per_zero_min[j]
+    projected_anchor = abs(rs.roots[j])
     projected_distances = tuple(
         abs(projected_anchor - c.real) for c in projected_crit.points
     )
@@ -434,7 +429,7 @@ def complex_pullback_check(complex_roots: RootsLike, slack: float = 0.0) -> Pull
         min_distance_true=min_distance,
         within_bound=min_distance < 1.0 + slack,
         slack=float(slack),
-        per_root_min_distance=per_root,
+        per_root_min_distance=table.per_zero_min,
         projected_distances=projected_distances,
         projected_zero_moduli=any(r == 0 for r in projected.roots),
     )

@@ -195,6 +195,13 @@ def test_squeeze_counterexample_instance():
     assert verdict.details["max_distance"] == pytest.approx(333.3327, abs=1e-3)
 
 
+def test_squeeze_near_the_top_of_double_range():
+    # the critical point lies between the zeros, so the conclusion margin stays finite
+    verdict = check_squeeze([1e308, 1.5e308], eps=1.6e308, delta=1)
+    assert verdict.classification is Classification.COUNTEREXAMPLE
+    assert verdict.conclusion.margin == pytest.approx(-2.5e307)
+
+
 def test_squeeze_confirmed_small_roots():
     verdict = check_squeeze([0.1, 0.2, 0.3], eps=1, delta=0.2001)
     assert verdict.classification is Classification.CONFIRMED

@@ -1,4 +1,5 @@
 import json
+import textwrap
 
 import pytest
 
@@ -216,10 +217,12 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
         (["verify", "--claim", "index_bound", "--roots", "1e-300,1e200,1e200,1e-100"],
          "double range"),
         (["expand", "--center", "min", "--roots", "1e-300,1e200,1e200,1e-100"], "double range"),
+        (["expand", "--center", "value:1e200", "--roots", "1,2,3"], "double range"),
+        (["expand", "--center", "value:nan", "--roots", "1,2,3"], "finite"),
     ],
     ids=[
         "infinite-root", "infinite-eps", "measure-overflow", "search-range",
-        "index-bound-overflow", "expand-overflow",
+        "index-bound-overflow", "expand-overflow", "expand-shift-overflow", "expand-nan-center",
     ],
 )
 def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word):
@@ -302,3 +305,105 @@ def test_expand_bad_selector(capsys):
     code, _, err = run_cli(capsys, "expand", "--roots", "1,2", "--center", "middle")
     assert code == 1
     assert "selector" in err
+
+
+# ---------------------------------------------------------------------------
+# human output
+
+GOLDEN = {
+    "analyze-real": (["analyze", "--roots", "1,2,3", "--eps", "7"], 0, """
+        measure: 6.000000
+        limited below eps 7.000000: yes (measure 6.000000)
+        expansion about minus-form center 1.000000 (root #0):
+          coefficients: 2.000000, -3.000000, 1.000000
+          gaps: 1.000000, 2.000000
+        index bounds (bound 6.000000):
+          order 1: |coeff| = 2.000000 ok
+          order 2: |coeff| = 3.000000 ok
+        critical points (interlace-bisection): 1.422650, 2.577350
+        distance to nearest critical point, per zero: 0.422650, 0.577350, 0.422650
+          every zero within unit distance: True; max distance from least zero: 1.577350
+        claims:
+          real_case: HYPOTHESES_NOT_MET
+            hypothesis quotient-one-limited: unmet (margin -5.000000)
+            hypothesis index-pattern: unmet (margin -2.500000)
+            conclusion: fails (margin -0.577350)
+          index_bound: CONFIRMED
+            conclusion: holds (margin 3.000000)
+          basic_inequality: CONFIRMED
+            hypothesis quotient-eps-limited: met (margin 1.000000)
+            conclusion: holds (margin 46.741457)
+          squeeze: COUNTEREXAMPLE
+            hypothesis quotient-eps-limited: met (margin 1.000000)
+            conclusion: fails (margin -0.577350)
+          perm_sum_bound: CONFIRMED
+            hypothesis quotient-eps-limited: met (margin 1.000000)
+            conclusion: holds (margin 4.454959)
+          deriv_sum_bound: CONFIRMED
+            hypothesis quotient-eps-limited: met (margin 1.000000)
+            conclusion: holds (margin 46.741457)
+          product_prop: skipped (requires-two-polynomials)
+        complex_pullback: skipped (all-real-roots)
+    """),
+    "analyze-complex": (["analyze", "--roots", "1+1i,2"], 0, """
+        measure: 2.828427
+        limitedness: skipped (no-eps)
+        expansion: skipped (not-positive-real)
+        index_bound: skipped (not-positive-real)
+        critical points (simultaneous-iteration): 1.500000+0.500000i
+        distance to nearest critical point, per zero: 0.707107, 0.707107
+          every zero within unit distance: True; max distance from least zero: 0.707107
+        claims:
+          real_case: skipped (not-positive-real)
+          basic_inequality: skipped (not-positive-real)
+          squeeze: skipped (not-positive-real)
+          perm_sum_bound: skipped (not-positive-real)
+          deriv_sum_bound: skipped (not-positive-real)
+          index_bound: skipped (not-positive-real)
+          product_prop: skipped (not-positive-real)
+        projection check: nearest critical point is 0.707107 from the least-modulus zero (within 1 + slack: True)
+    """),
+    "verify-squeeze-counterexample": (
+        ["verify", "--claim", "squeeze", "--roots", "0.001,0.001,500", "--eps", "1", "--delta", "1"],
+        2,
+        """
+        claim: SQUEEZE
+          SQUEEZE: COUNTEREXAMPLE
+            hypothesis quotient-eps-limited: met (margin 0.500000)
+            conclusion: fails (margin -332.332667)
+        """,
+    ),
+    "search-index-bound": (
+        ["search", "--claim", "index_bound", "--degree", "3", "--samples", "50", "--seed", "42",
+         "--dist", "uniform:0.05,0.5"],
+        2,
+        """
+        search counts:
+          CONFIRMED: 5
+          COUNTEREXAMPLE: 45
+          HYPOTHESES_NOT_MET: 0
+          SOLVER_FAILURE: 0
+        counterexamples stored: 45 (overflow 0)
+        """,
+    ),
+    "expand-value-center": (["expand", "--roots", "1,2,3", "--center", "value:0.5"], 0, """
+        center: 0.500000
+        shift coefficients: -1.875000, 5.750000, -4.500000, 1.000000
+        index_bound: skipped (non-extremal-center)
+    """),
+    # below 1e-4 or from 1e15 up, numbers print in exponent form
+    "expand-tiny-and-huge": (["expand", "--roots", "1e-8,3e15", "--center", "min"], 0, """
+        expansion about minus-form center 1.000000e-08 (root #0):
+          coefficients: -3.000000e+15, 1.000000
+          gaps: 3.000000e+15
+        index bounds (bound 3.000000e+15):
+          order 1: |coeff| = 3.000000e+15 VIOLATION
+    """),
+}
+
+
+@pytest.mark.parametrize("argv, code, text", GOLDEN.values(), ids=GOLDEN.keys())
+def test_human_output_golden(capsys, argv, code, text):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert out == textwrap.dedent(text).lstrip("\n")

@@ -40,6 +40,12 @@ def test_tiny_double_root_with_huge_third():
     assert crit.points[1].real == pytest.approx(1000.001 / 3, rel=1e-10)
 
 
+def test_real_path_near_the_top_of_double_range():
+    # the bisection midpoint must not overflow where lo + hi does
+    crit = critical_points(from_roots([1e308, 1.5e308]))
+    assert crit.points == (1.25e308,)
+
+
 def test_residuals_are_small():
     crit = critical_points(from_roots([0.25, 1.5, 2.25, 9.0]))
     assert all(r <= 1e-8 for r in crit.residuals)

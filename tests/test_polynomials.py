@@ -83,6 +83,11 @@ def test_taylor_shift_examples():
         assert got.real == pytest.approx(want, abs=1e-15)
 
 
+def test_taylor_shift_rejects_out_of_range_coefficients():
+    with pytest.raises(OverflowError, match="double range"):
+        taylor_shift(from_roots([1, 2, 3]), 1e200)
+
+
 def test_permutation_sum_examples():
     assert permutation_sum_derivative([1, 2, 3], 1) == (1 - 2) * (1 - 3)
     assert permutation_sum_derivative([1, 2], 2) == 1
@@ -111,6 +116,11 @@ def test_root_multiset_validation():
         rs.positive_reals()
     with pytest.raises(RootDomainError):
         RootMultiset([1, -2]).positive_reals()
+
+
+def test_root_multiset_adopts_a_validated_multiset():
+    rs = RootMultiset([1, 2 + 1j])
+    assert RootMultiset(rs).roots is rs.roots
 
 
 @pytest.mark.parametrize(
