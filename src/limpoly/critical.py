@@ -2,10 +2,10 @@
 
 Critical points are found from the zeros alone, so the polynomial must
 carry them (build it with from_roots); coefficients feed only the
-reported residuals.  Coincident zeros are grouped, and a zero of
-multiplicity m is its own critical point m - 1 times.  The others are
-the zeros of the logarithmic derivative sum f(z) = sum m_i / (z - v_i)
-over the distinct zeros v_i.  Two code paths:
+reported residuals.  Coincident zeros are grouped by a gap relative to
+their size, and a zero of multiplicity m is its own critical point m - 1
+times.  The others are the zeros of the logarithmic derivative sum
+f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
 
 * all zeros real: f is strictly decreasing between neighbouring distinct
   zeros, so bisection on its sign finds the one critical point in each
@@ -50,7 +50,7 @@ SIMULTANEOUS = "simultaneous-iteration"
 
 _SWEEP_BUDGET = 200
 _STEP_TOL = 1e-13
-_CLUSTER_GAP = 1e-12  # absolute gap below which real zeros count as repeated
+_CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros count as repeated
 
 
 class ConvergenceError(RuntimeError):
@@ -82,16 +82,20 @@ def _scaled_residual(coeffs, z: complex) -> float:
     return abs(_horner(coeffs, z)) / scale
 
 
+def _coincident(u, w) -> bool:
+    return abs(u - w) <= _CLUSTER_GAP * max(abs(u), abs(w))
+
+
 # ---------------------------------------------------------------------------
 # all-real path
 
 
 def _cluster_reals(values) -> list[tuple[float, int]]:
-    """Sorted (representative, multiplicity) pairs, chaining gaps <= _CLUSTER_GAP."""
+    """Sorted (representative, multiplicity) pairs, chaining coincident neighbours."""
     ordered = sorted(values)
     clusters: list[list[float]] = [[ordered[0]]]
     for v in ordered[1:]:
-        if v - clusters[-1][-1] <= _CLUSTER_GAP:
+        if _coincident(clusters[-1][-1], v):
             clusters[-1].append(v)
         else:
             clusters.append([v])
@@ -205,10 +209,7 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     point; Newton on P^(m) from their mean finishes it, and is kept only
     where f vanishes to roundoff.
     """
-    clusters = [
-        (sum(g) / len(g), len(g))
-        for g in _groups(values, lambda u, w: abs(u - w) <= _CLUSTER_GAP)
-    ]
+    clusters = [(sum(g) / len(g), len(g)) for g in _groups(values, _coincident)]
     points = [v for v, m in clusters for _ in range(m - 1)]
     d = len(clusters) - 1  # degree of Q
     n = len(values)

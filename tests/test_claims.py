@@ -13,9 +13,12 @@ from limpoly import (
     check_perm_sum_bound,
     check_real_case,
     check_squeeze,
+    claims,
+    critical,
     derivative_at_order,
     factorial_sum,
     from_roots,
+    higher_derivative_zeros,
     local_expansion_min,
     run_claim,
     stirling_bound_compare,
@@ -215,6 +218,44 @@ def test_squeeze_boundary_is_not_counterexample():
     assert at_boundary.classification is Classification.CONFIRMED
     clearly_below = check_squeeze([0.1, 0.2, 0.3], eps=1, delta=exact / 2)
     assert clearly_below.classification is Classification.COUNTEREXAMPLE
+
+
+def _squeeze_walk_cases():
+    rng = np.random.default_rng(23)
+    drawn = [
+        [float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))]
+        for n in range(2, 21)
+    ]
+    repeated = [[0.5, 0.5, 0.5, 2.0, 7.0, 7.0], drawn[10][:1] * 3 + drawn[10][3:]]
+    known = [[2.5, 2.5, 2.5, 2.5], [0.001, 0.001, 500], [1e308, 1.5e308], [0.1, 0.2, 0.3]]
+    return drawn + repeated + known
+
+
+@pytest.mark.parametrize("roots", _squeeze_walk_cases())
+def test_squeeze_walk_matches_per_order_zeros(roots):
+    center = min(roots)
+    p = from_roots(roots)
+    expected = [
+        max(abs(center - b) for b in higher_derivative_zeros(p, k).points)
+        for k in range(1, len(roots))
+    ]
+    assert check_squeeze(roots, eps=1, delta=1).details["per_order_max"] == expected
+
+
+def test_squeeze_walks_the_tower_once(monkeypatch):
+    stages = []
+    solve = critical._real_critical_points
+
+    def counted(values):
+        stages.append(len(values))
+        return solve(values)
+
+    monkeypatch.setattr(critical, "_real_critical_points", counted)
+    monkeypatch.setattr(claims, "_real_critical_points", counted)
+    for n in (2, 3, 8, 20):
+        stages.clear()
+        check_squeeze([0.1 * (i + 1) for i in range(n)], eps=1, delta=1)
+        assert stages == list(range(n, 1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,22 @@ def test_real_path_near_the_top_of_double_range():
     assert crit.points == (1.25e308,)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-300, 1e300])
+def test_close_zeros_stay_distinct_at_every_scale(s):
+    # zeros are grouped by a gap relative to their size, never an absolute one
+    crit = critical_points(from_roots([s, 2 * s, 3 * s]))
+    expected = (2 * s - s / math.sqrt(3), 2 * s + s / math.sqrt(3))
+    for got, want in zip(crit.points, expected):
+        assert abs(got.real - want) <= 1e-13 * want, (got, want)
+
+
+def test_close_complex_zeros_stay_distinct():
+    points = _complex_critical_points([1e-12j, 2e-12j, 3e-12j])
+    expected = (2e-12 - 1e-12 / math.sqrt(3), 2e-12 + 1e-12 / math.sqrt(3))
+    for got, want in zip(points, expected):
+        assert abs(got - want * 1j) <= 1e-13 * want, (got, want)
+
+
 def test_residuals_are_small():
     crit = critical_points(from_roots([0.25, 1.5, 2.25, 9.0]))
     assert all(r <= 1e-8 for r in crit.residuals)
@@ -164,11 +180,14 @@ def test_real_critical_points_match_mpmath(roots):
 
 
 def test_higher_derivative_zeros_match_mpmath():
-    roots = _log_uniform(9, 20)
-    tower = real_derivative_tower(roots, 19)
-    p = from_roots(roots)
-    for k in (1, 5, 10, 19):
-        _assert_relative_match(higher_derivative_zeros(p, k).points, tower[k - 1], 1e-13)
+    for roots, orders in (
+        (_log_uniform(9, 20), (1, 5, 10, 19)),
+        (_log_uniform(11, 40), (1, 10, 20, 39)),
+    ):
+        tower = real_derivative_tower(roots, orders[-1])
+        p = from_roots(roots)
+        for k in orders:
+            _assert_relative_match(higher_derivative_zeros(p, k).points, tower[k - 1], 1e-13)
 
 
 def test_higher_derivative_order_validation():
