@@ -173,6 +173,11 @@ def _secular(clusters, z: complex) -> tuple[complex, complex, complex, float]:
     return f, g, h, size
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2**e, by components."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def _multiple_zero(clusters, b: complex, m: int, scale: float, floor: float) -> complex | None:
     """Newton on P^(m) from b, which has a simple zero at an m-fold zero of P'.
 
@@ -207,10 +212,16 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     _STEP_TOL of max(|z|, spread).  Iterates whose inclusion discs
     (radius deg Q * |Q/Q'|) overlap close in on one m-fold critical
     point; Newton on P^(m) from their mean finishes it, and is kept only
-    where f vanishes to roundoff.
+    where f vanishes to roundoff.  All of this runs on the distinct zeros
+    times the power of two that brings their largest component near 1, so
+    the secular sums do not overflow or underflow for the zeros' scale
+    alone; the scaling rounds only what it takes below the normal range.
     """
     clusters = [(sum(g) / len(g), len(g)) for g in _groups(values, _coincident)]
     points = [v for v, m in clusters for _ in range(m - 1)]
+    # components, not abs(): the modulus of a zero near the top of double range overflows
+    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v, _ in clusters))[1]
+    clusters = [(_ldexp(v, -e), m) for v, m in clusters]
     d = len(clusters) - 1  # degree of Q
     n = len(values)
     center = sum(m * v for v, m in clusters) / n
@@ -238,7 +249,7 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
         sums = [_secular(clusters, zi) for zi in z]
         raise ConvergenceError(
             f"no convergence after {budget} sweeps",
-            tuple(z),
+            tuple(_ldexp(zi, e) for zi in z),
             tuple(abs(f) / size for f, _, _, size in sums),
         )
     radii = []
@@ -253,7 +264,7 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
             if b is not None:
                 for i in group:
                     z[i] = b
-    points += z
+    points += [_ldexp(b, e) for b in z]
     points.sort(key=lambda b: (b.real, b.imag))
     return points
 

@@ -9,6 +9,7 @@ JSON (wall time is kept out of the canonical form).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import sys
@@ -45,7 +46,7 @@ RNG_ALGORITHM = "numpy-philox4x64-10/seedsequence"
 SOLVER_FAILURE = "SOLVER_FAILURE"
 
 # Fixed histogram bin edges for conclusion margins; bucket 0 is everything
-# below the first edge, the last bucket everything at or above the last.
+# below the first edge, and a margin equal to an edge counts in the bucket above it.
 MARGIN_BIN_EDGES = (-1.0, -0.1, -0.01, 0.0, 0.01, 0.1, 1.0)
 
 _DISTRIBUTION_KINDS = ("uniform", "log-uniform", "complex-disk")
@@ -207,17 +208,24 @@ def _resolve_eps(policy: tuple[str, float], roots: RootMultiset, claim: ClaimId)
     return value * _rest_measure(roots.roots, roots.min_modulus_index())
 
 
-def _margin_bucket(margin: float) -> int:
-    for i, edge in enumerate(MARGIN_BIN_EDGES):
-        if margin < edge:
-            return i
-    return len(MARGIN_BIN_EDGES)
-
-
 def _empty_counts() -> dict:
     counts = {c.value: 0 for c in Classification}
     counts[SOLVER_FAILURE] = 0
     return counts
+
+
+def _capped(config, counts, histograms, records, overflow, wall) -> SearchReport:
+    # Keep the cap lowest instance hashes and count the rest as overflow.  Sweeps
+    # and merges both end here, so shard-then-merge equals single-shot.
+    kept = sorted(records, key=lambda r: r.instance_hash)[: config.counterexample_cap]
+    return SearchReport(
+        config=config,
+        counts=counts,
+        counterexamples=kept,
+        overflow=overflow + len(records) - len(kept),
+        margin_histograms=histograms,
+        wall_time_s=wall,
+    )
 
 
 def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -> SearchReport:
@@ -260,7 +268,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
             counts[SOLVER_FAILURE] += 1
             continue
         counts[verdict.classification.value] += 1
-        bucket = _margin_bucket(verdict.conclusion.margin)
+        bucket = bisect.bisect_right(MARGIN_BIN_EDGES, verdict.conclusion.margin)
         histograms.setdefault(degree, [0] * (len(MARGIN_BIN_EDGES) + 1))[bucket] += 1
         if verdict.classification is Classification.COUNTEREXAMPLE:
             logged = roots.roots if second is None else roots.roots + second.roots
@@ -273,18 +281,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
                 )
             )
 
-    # Keep the cap lowest instance hashes: the same rule a merge applies,
-    # so shard-then-merge equals single-shot.
-    found.sort(key=lambda r: r.instance_hash)
-    kept = found[: config.counterexample_cap]
-    return SearchReport(
-        config=config,
-        counts=counts,
-        counterexamples=kept,
-        overflow=len(found) - len(kept),
-        margin_histograms=histograms,
-        wall_time_s=time.perf_counter() - began,
-    )
+    return _capped(config, counts, histograms, found, 0, time.perf_counter() - began)
 
 
 def merge_reports(reports) -> SearchReport:
@@ -312,41 +309,19 @@ def merge_reports(reports) -> SearchReport:
         pooled.extend(r.counterexamples)
         overflow_seen += r.overflow
         wall += r.wall_time_s
-    pooled.sort(key=lambda rec: rec.instance_hash)
-    kept = pooled[: config.counterexample_cap]
-    total_found = len(pooled) + overflow_seen
-    return SearchReport(
-        config=config,
-        counts=counts,
-        counterexamples=kept,
-        overflow=total_found - len(kept),
-        margin_histograms=histograms,
-        wall_time_s=wall,
-    )
+    return _capped(config, counts, histograms, pooled, overflow_seen, wall)
 
 
 def report_to_jsonable(report: SearchReport) -> dict:
     """Canonical form of a report; wall time deliberately left out."""
-    return {
-        "rng_algorithm": RNG_ALGORITHM,
-        "config": to_jsonable(report.config),
-        "config_hash": config_hash(report.config),
-        "counts": to_jsonable(report.counts),
-        "counterexamples": [
-            {
-                "sample_index": rec.sample_index,
-                "roots": to_jsonable(list(rec.roots)),
-                "verdict": to_jsonable(rec.verdict),
-                "instance_hash": rec.instance_hash,
-            }
-            for rec in report.counterexamples
-        ],
-        "overflow": report.overflow,
-        "margin_histograms": {
-            str(d): report.margin_histograms[d] for d in sorted(report.margin_histograms)
-        },
-        "margin_bin_edges": list(MARGIN_BIN_EDGES),
-    }
+    payload = to_jsonable(report)
+    del payload["wall_time_s"]
+    payload.update(
+        rng_algorithm=RNG_ALGORITHM,
+        config_hash=config_hash(report.config),
+        margin_bin_edges=list(MARGIN_BIN_EDGES),
+    )
+    return payload
 
 
 def write_counterexample_log(report: SearchReport, path) -> int:

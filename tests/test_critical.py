@@ -62,6 +62,20 @@ def test_close_complex_zeros_stay_distinct():
         assert abs(got - want * 1j) <= 1e-13 * want, (got, want)
 
 
+@pytest.mark.parametrize(
+    "s, direction, offset",
+    [(1e-300, 1j, 0), (1e-150, 1j, 0), (1e150, 1j, 0), (1e300, 1j, 0), (1e200, 1, 1e200j)],
+    ids=["1e-300", "1e-150", "1e+150", "1e+300", "1e200-triple"],
+)
+def test_complex_path_is_scale_invariant(s, direction, offset):
+    # zeros s, 2s, 3s on a line off the real axis: critical points at (2 -/+ 1/sqrt(3)) s
+    points = _complex_critical_points([k * s * direction + offset for k in (1, 2, 3)])
+    assert len(points) == 2
+    for t in (2 - 1 / math.sqrt(3), 2 + 1 / math.sqrt(3)):
+        want = t * s * direction + offset
+        assert min(abs(b - want) for b in points) <= 1e-13 * abs(want), (points, want)
+
+
 def test_residuals_are_small():
     crit = critical_points(from_roots([0.25, 1.5, 2.25, 9.0]))
     assert all(r <= 1e-8 for r in crit.residuals)

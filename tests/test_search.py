@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -165,18 +167,47 @@ def test_search_squeeze_finds_skewed_counterexamples():
 
 
 def test_shard_merge_equals_single_shot():
-    single = run_search(INDEX_CFG)
-    shards = [run_search(INDEX_CFG, start=s, count=50) for s in (0, 50, 100, 150)]
-    merged = merge_reports(shards)
-    assert merged.counts == single.counts
-    assert canonical_dumps(report_to_jsonable(merged)) == canonical_dumps(
-        report_to_jsonable(single)
+    # At cap 5 every 50-sample shard overflows its own cap.
+    for cap in (100, 5):
+        config = dataclasses.replace(INDEX_CFG, counterexample_cap=cap)
+        single = canonical_dumps(report_to_jsonable(run_search(config)))
+        shards = [run_search(config, start=s, count=50) for s in (0, 50, 100, 150)]
+        # merge order must not matter
+        for order in (shards, [shards[2], shards[0], shards[3], shards[1]]):
+            merged = merge_reports(order)
+            assert canonical_dumps(report_to_jsonable(merged)) == single
+
+
+# Uniform draws keep the digests free of numpy's CPU-dispatched exp/log.
+PINNED_REPORTS = [
+    ("index_bound", 3, 3, "uniform:0.05,0.5", {},
+     "5c59e802f683fcd7baf53514494968f390ba754b81a6b249251e2e2d608ba12c"),
+    ("basic_inequality", 2, 8, "uniform:0.05,2", {},
+     "0cb3def3786ae7680ed9b7b9097240f006d52f9f168cedd1472a29c32872c54a"),
+    ("perm_sum_bound", 2, 8, "uniform:0.05,2", {},
+     "6284cb6de6bdc744c862e3e295a0c0fbb4a87033acbfd9d3aaf68f6c4606b0ec"),
+    ("deriv_sum_bound", 2, 8, "uniform:0.05,2", {},
+     "c8beaf2b5b93770aae0e09d2306c0fe2a43732a3524fca94ff81050cc4dedb66"),
+    ("product_prop", 2, 8, "uniform:0.2,0.8", {},
+     "79ba7a178ad7f97d7967dcb5fc520e0e1d98f45c51152d432fb4688419c5530b"),
+    ("real_case", 2, 8, "uniform:0.05,2", {"index_band": 5.0},
+     "8b774288bfc49a797c2790106edcdb61490e3f0ac4ec9106b8ad2c834b072e1f"),
+    ("squeeze", 2, 8, "uniform:0.05,2", {},
+     "57ca1f0a44a46e3a043dc3fce3b4d2aaedcce42f5210b79bb989e19851de911f"),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, lo, hi, dist, extra, digest", PINNED_REPORTS, ids=[c[0] for c in PINNED_REPORTS]
+)
+def test_canonical_reports_are_pinned(claim, lo, hi, dist, extra, digest):
+    # A digest changes only together with a CHANGES.md entry saying why the reports changed.
+    config = SearchConfig(
+        claim_id=claim, degree_min=lo, degree_max=hi, samples=40, seed=1,
+        distribution=dist, counterexample_cap=10, **extra,
     )
-    # merge order must not matter
-    shuffled = merge_reports([shards[2], shards[0], shards[3], shards[1]])
-    assert canonical_dumps(report_to_jsonable(shuffled)) == canonical_dumps(
-        report_to_jsonable(single)
-    )
+    dumped = canonical_dumps(report_to_jsonable(run_search(config)))
+    assert hashlib.sha256(dumped.encode("ascii")).hexdigest() == digest
 
 
 def test_counterexample_cap_and_overflow():
