@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .critical import _real_critical_points, critical_points, higher_derivative_zeros
+from .critical import _real_critical_points, critical_points
+from .critical import higher_derivative_zeros  # noqa: F401  bench/selftest.py reads it here
 from .expansion import index_bound_check, local_expansion_min
 from .measure import _require_positive_finite, _rest_measure, check_product_proposition
 from .polynomials import (
-    DEFAULT_TOL,
     RootMultiset,
     RootsLike,
     _derive,
@@ -108,9 +108,7 @@ def _eps_setup(roots: RootsLike, eps: float):
     """Validated eps, the positive-real setup, and its quotient-eps-limited hypothesis."""
     _require_positive_finite("eps", eps)
     rs, values, j, rest_product = _positive_real_setup(roots)
-    hyp = hypothesis_check(
-        "quotient-eps-limited", eps - rest_product, DEFAULT_TOL.gap(eps, rest_product)
-    )
+    hyp = hypothesis_check("quotient-eps-limited", rest_product, eps)
     return rs, values, j, rest_product, hyp
 
 
@@ -125,29 +123,21 @@ def check_real_case(roots: RootsLike, index_band: float = 1e-9) -> ClaimVerdict:
     index_band is exposed for relaxed sweeps.
     """
     rs, values, j, rest_product = _positive_real_setup(roots)
-    h_limited = hypothesis_check(
-        "quotient-one-limited", 1.0 - rest_product, DEFAULT_TOL.gap(1.0, rest_product)
-    )
+    h_limited = hypothesis_check("quotient-one-limited", rest_product, 1.0)
 
     exp = local_expansion_min(rs)
     magnitudes = [abs(c) for c in exp.coeffs]
-    worst_margin = math.inf
-    worst_boundary = 0.0
-    for t in range(1, rs.n):
-        target = 1.0 / t
-        band = index_band * (1.0 + target)
-        distance = abs(magnitudes[t - 1] - target)
-        margin = band - distance
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_boundary = DEFAULT_TOL.gap(band, distance)
-    h_index = hypothesis_check("index-pattern", worst_margin, worst_boundary)
+    orders = (
+        hypothesis_check("index-pattern", abs(m - 1.0 / t), index_band * (1.0 + 1.0 / t))
+        for t, m in enumerate(magnitudes[: rs.n - 1], start=1)
+    )
+    h_index = min(orders, key=lambda h: h.margin)  # the worst order
 
     crit = critical_points(from_roots(rs))
     center = values[j]
     distances = [abs(center - b) for b in crit.points]
     max_distance = max(distances)
-    concl = conclusion_check(1.0 - max_distance, DEFAULT_TOL.gap(1.0, max_distance))
+    concl = conclusion_check(max_distance, 1.0)
     return build_verdict(
         ClaimId.REAL_CASE,
         (h_limited, h_index),
@@ -193,9 +183,7 @@ def check_basic_inequality(roots: RootsLike, eps: float) -> ClaimVerdict:
     identity_scale = max(derivative_sum, weighted_coeff_sum, 1.0)
     identity_rel_err = abs(derivative_sum - weighted_coeff_sum) / identity_scale
 
-    concl = conclusion_check(
-        exponential_bound - derivative_sum, DEFAULT_TOL.gap(exponential_bound, derivative_sum)
-    )
+    concl = conclusion_check(derivative_sum, exponential_bound)
     return build_verdict(
         ClaimId.BASIC_INEQUALITY,
         (hyp,),
@@ -222,22 +210,22 @@ def check_squeeze(roots: RootsLike, eps: float, delta: float) -> ClaimVerdict:
     attained maximum distance is always reported.
 
     The derivative tower is walked once, in n - 1 stages: order 1 is
-    higher_derivative_zeros(poly, 1), and each later order is solved on
-    the previous order's zeros.
+    critical_points(poly), and each later order is solved on the previous
+    order's zeros.
     """
     _require_positive_finite("delta", delta)
     rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
     poly = from_roots(rs)
 
-    points = [b.real for b in higher_derivative_zeros(poly, 1).points]
+    points = [b.real for b in critical_points(poly).points]
     per_order_max = [max(abs(center - b) for b in points)]
     for _ in range(2, rs.n):
         points = _real_critical_points(points)
         per_order_max.append(max(abs(center - b) for b in points))
     max_distance = max(per_order_max)
 
-    concl = conclusion_check(delta - max_distance, DEFAULT_TOL.gap(delta, max_distance))
+    concl = conclusion_check(max_distance, delta)
     return build_verdict(
         ClaimId.SQUEEZE,
         (hyp,),
@@ -270,7 +258,7 @@ def check_perm_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
     identity_rel_err = abs(value - direct) / identity_scale
 
     bound = eps * _SQRT_TWO_PI / math.e
-    concl = conclusion_check(bound - attained, DEFAULT_TOL.gap(bound, attained))
+    concl = conclusion_check(attained, bound)
     return build_verdict(
         ClaimId.PERM_SUM_BOUND,
         (hyp,),
@@ -288,7 +276,9 @@ def check_deriv_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
 
     The left side is sum over s = 0..n-1 of |s-th derivative of P'
     evaluated at the least zero| (the s = 0 term is |P'| itself); the
-    bound is eps * sqrt(2*pi) * sum e^-k k^(k+1/2).
+    bound is eps * sqrt(2*pi) * sum e^-k k^(k+1/2).  These are the sum and
+    the bound of check_basic_inequality (the s-th derivative of P' is the
+    (s+1)-th of P), so the two claims reach the same verdict.
     """
     rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
@@ -302,7 +292,7 @@ def check_deriv_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
     attained = math.fsum(terms)
 
     bound = eps * stirling_sum(rs.n)
-    concl = conclusion_check(bound - attained, DEFAULT_TOL.gap(bound, attained))
+    concl = conclusion_check(attained, bound)
     return build_verdict(
         ClaimId.DERIV_SUM_BOUND,
         (hyp,),
@@ -326,10 +316,8 @@ def check_index_bound(roots: RootsLike) -> ClaimVerdict:
     exp = local_expansion_min(rs)
     report = index_bound_check(exp, rs)
     if report.entries:
-        worst = min(report.entries, key=lambda e: e.bound - e.magnitude)
-        concl = conclusion_check(
-            worst.bound - worst.magnitude, DEFAULT_TOL.gap(worst.bound, worst.magnitude)
-        )
+        checks = (conclusion_check(e.magnitude, e.bound) for e in report.entries)
+        concl = min(checks, key=lambda c: c.margin)  # the worst order
     else:
         # Degree 1: no coefficients in range, the bound holds vacuously.
         concl = ConclusionCheck(holds=True, margin=0.0, boundary=0.0)

@@ -91,7 +91,10 @@ def _skipped(reason: str) -> dict:
     return {"skipped": True, "reason": reason}
 
 
-def _report(command: str, inputs: dict, results: dict, diagnostics: dict | None = None) -> dict:
+def _report(args, results: dict, diagnostics: dict | None = None, **parsed) -> dict:
+    """The report document; its inputs echo every flag, with `parsed` values for raw ones."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "json")}
+    inputs.update(parsed)
     base = {
         "tolerance": {"abs": DEFAULT_TOL.abs, "rel": DEFAULT_TOL.rel},
     }
@@ -99,8 +102,8 @@ def _report(command: str, inputs: dict, results: dict, diagnostics: dict | None 
         base.update(diagnostics)
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        "inputs": to_jsonable(inputs),
         "results": results,
         "diagnostics": base,
     }
@@ -300,14 +303,7 @@ def _cmd_analyze(args) -> int:
     else:
         results["complex_pullback"] = to_jsonable(complex_pullback_check(rs, args.slack))
 
-    inputs = {
-        "roots": list(rs.roots),
-        "eps": args.eps,
-        "delta": args.delta,
-        "index_band": args.index_band,
-        "slack": args.slack,
-    }
-    _emit(_report("analyze", to_jsonable(inputs), results), args.json)
+    _emit(_report(args, results, roots=rs.roots), args.json)
     return 0
 
 
@@ -331,16 +327,9 @@ def _cmd_verify(args) -> int:
         second_roots=second,
         index_band=args.index_band,
     )
-    inputs = {
-        "claim": cid.value,
-        "roots": list(rs.roots),
-        "roots2": list(second.roots) if second else None,
-        "eps": args.eps,
-        "delta": args.delta,
-        "index_band": args.index_band,
-    }
     results = {"claim": cid.value, "verdict": to_jsonable(verdict)}
-    _emit(_report("verify", to_jsonable(inputs), results), args.json)
+    parsed = {"claim": cid.value, "roots": rs.roots, "roots2": second.roots if second else None}
+    _emit(_report(args, results, **parsed), args.json)
     return 2 if verdict.classification is Classification.COUNTEREXAMPLE else 0
 
 
@@ -376,22 +365,9 @@ def _cmd_search(args) -> int:
         print(f"appended {written} counterexample records to {args.out}", file=sys.stderr)
     print(f"wall time: {report.wall_time_s:.3f}s", file=sys.stderr)
 
-    inputs = {
-        "claim": cid.value,
-        "degree": args.degree,
-        "samples": args.samples,
-        "seed": seed,
-        "dist": args.dist,
-        "eps_policy": args.eps_policy,
-        "delta": args.delta,
-        "cap": args.cap,
-        "out": args.out,
-    }
     results = {"search": report_to_jsonable(report)}
-    _emit(
-        _report("search", to_jsonable(inputs), results, {"rng_algorithm": RNG_ALGORITHM}),
-        args.json,
-    )
+    diagnostics = {"rng_algorithm": RNG_ALGORITHM}
+    _emit(_report(args, results, diagnostics, claim=cid.value, seed=seed), args.json)
     found = report.counts.get(Classification.COUNTEREXAMPLE.value, 0)
     return 2 if found > 0 else 0
 
@@ -424,8 +400,7 @@ def _cmd_expand(args) -> int:
         raise UsageError(
             f"bad center selector {selector!r} (expected min, max-plus, or value:<real>)"
         )
-    inputs = {"roots": list(rs.roots), "center": selector}
-    _emit(_report("expand", to_jsonable(inputs), results), args.json)
+    _emit(_report(args, results, roots=rs.roots), args.json)
     return 0
 
 

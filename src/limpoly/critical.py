@@ -83,6 +83,9 @@ def _scaled_residual(coeffs, z: complex) -> float:
 
 
 def _coincident(u, w) -> bool:
+    # on the pair scaled near 1: |u - w| may overflow where u and w do not
+    e = math.frexp(max(abs(u.real), abs(u.imag), abs(w.real), abs(w.imag)))[1]
+    u, w = _ldexp(u, -e), _ldexp(w, -e)
     return abs(u - w) <= _CLUSTER_GAP * max(abs(u), abs(w))
 
 
@@ -265,7 +268,8 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
                 for i in group:
                     z[i] = b
     points += [_ldexp(b, e) for b in z]
-    points.sort(key=lambda b: (b.real, b.imag))
+    # real parts on a grid of the scaled plane, so roundoff off a vertical line cannot order it
+    points.sort(key=lambda b: (round(math.ldexp(b.real, -e), 12), b.imag))
     return points
 
 
@@ -285,36 +289,32 @@ def critical_points(p: MonicPolynomial) -> CriticalSet:
 
     The polynomial must carry its zeros (build it with from_roots).
     """
-    if p.degree < 2:
-        raise ValueError("critical points need degree at least 2")
-    if p.roots is None:
-        raise ValueError("critical points need the zeros; build the polynomial with from_roots")
-    deriv_coeffs = derivative(p)
-    if p.roots.is_real():
-        return _critical_set(deriv_coeffs, _real_critical_points(p.roots.reals()), INTERLACE)
-    return _critical_set(deriv_coeffs, _complex_critical_points(p.roots.roots), SIMULTANEOUS)
+    return higher_derivative_zeros(p, 1)
 
 
 def higher_derivative_zeros(p: MonicPolynomial, k: int) -> CriticalSet:
     """All zeros of the k-th derivative, 1 <= k <= degree - 1.
 
-    Stage 1 is critical_points(p); each later stage solves on the previous
-    stage's points, which are the zeros of the derivative before it.
-    Residuals are taken against the k-th derivative's coefficients.
+    Stage 1 solves on the zeros of p; each later stage solves on the
+    previous stage's points, which are the zeros of the derivative before
+    it.  Residuals are taken against the k-th derivative's coefficients.
     """
+    if p.degree < 2:
+        raise ValueError("critical points need degree at least 2")
+    if p.roots is None:
+        raise ValueError("critical points need the zeros; build the polynomial with from_roots")
     if not 1 <= k <= p.degree - 1:
         raise ValueError(f"order must be in 1..{p.degree - 1}, got {k}")
+    if p.roots.is_real():
+        points, solve, method = p.roots.reals(), _real_critical_points, INTERLACE
+    else:
+        points, solve, method = p.roots.roots, _complex_critical_points, SIMULTANEOUS
     coeffs = derivative(p)
     for _ in range(k - 1):
         coeffs = _derive(coeffs)
-    crit = critical_points(p)
-    if crit.method == INTERLACE:
-        points, solve = [b.real for b in crit.points], _real_critical_points
-    else:
-        points, solve = list(crit.points), _complex_critical_points
-    for _ in range(k - 1):
+    for _ in range(k):
         points = solve(points)
-    return _critical_set(coeffs, points, crit.method)
+    return _critical_set(coeffs, points, method)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from .polynomials import DEFAULT_TOL, RootMultiset, RootsLike
 from .verdicts import (
     ClaimId,
     ClaimVerdict,
+    HypothesisCheck,
     build_verdict,
     conclusion_check,
     hypothesis_check,
@@ -119,17 +120,14 @@ def check_product_proposition(
     m_prod = measure(combined)
 
     separate = mp * mq
-    identity_gap = DEFAULT_TOL.gap(m_prod, separate)
-    identity_holds = abs(m_prod - separate) <= identity_gap
-
     disjoint = not set(rp.roots) & set(rq.roots)
     hypotheses = (
-        hypothesis_check("first-eps-limited", eps - mp, DEFAULT_TOL.gap(eps, mp)),
-        hypothesis_check("second-delta-limited", delta - mq, DEFAULT_TOL.gap(delta, mq)),
-        hypothesis_check("zero-sets-disjoint", 1.0 if disjoint else -1.0),
+        hypothesis_check("first-eps-limited", mp, eps),
+        hypothesis_check("second-delta-limited", mq, delta),
+        HypothesisCheck("zero-sets-disjoint", disjoint, 1.0 if disjoint else -1.0),
     )
     bound = eps * delta
-    concl = conclusion_check(bound - m_prod, DEFAULT_TOL.gap(bound, m_prod))
+    concl = conclusion_check(m_prod, bound)
     return build_verdict(
         ClaimId.PRODUCT_PROP,
         hypotheses,
@@ -137,7 +135,7 @@ def check_product_proposition(
         first_measure=mp,
         second_measure=mq,
         product_measure=m_prod,
-        measure_identity_holds=identity_holds,
+        measure_identity_holds=DEFAULT_TOL.close(m_prod, separate),
         measure_identity_residual=abs(m_prod - separate),
         product_bound=bound,
     )

@@ -1,9 +1,10 @@
 """Verdict record shared by every claim checker.
 
 A checker evaluates each hypothesis and the conclusion of one claim on
-one concrete instance, records a signed margin for every inequality
-(positive = strictly satisfied, measured as bound minus attained value
-for upper bounds), and classifies the instance.  COUNTEREXAMPLE is only
+one concrete instance and classifies the instance.  Every inequality is
+checked by one rule, attained < bound: the margin is bound - attained,
+the noise boundary is DEFAULT_TOL.gap(bound, attained), and the check
+holds when the margin is positive.  COUNTEREXAMPLE is only
 emitted when every hypothesis margin clears the noise boundary and the
 conclusion margin fails beyond it, so boundary ties never count as
 counterexamples.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+
+from .polynomials import DEFAULT_TOL
 
 __all__ = [
     "ClaimId",
@@ -67,12 +70,18 @@ class ClaimVerdict:
     details: dict = field(default_factory=dict)
 
 
-def hypothesis_check(name: str, margin: float, boundary: float = 0.0) -> HypothesisCheck:
-    return HypothesisCheck(name=name, met=margin > 0.0, margin=margin, boundary=boundary)
+def _below(attained: float, bound: float) -> tuple[bool, float, float]:
+    """The rule attained < bound: (satisfied, margin, noise boundary)."""
+    margin = bound - attained
+    return margin > 0.0, margin, DEFAULT_TOL.gap(bound, attained)
 
 
-def conclusion_check(margin: float, boundary: float = 0.0) -> ConclusionCheck:
-    return ConclusionCheck(holds=margin > 0.0, margin=margin, boundary=boundary)
+def hypothesis_check(name: str, attained: float, bound: float) -> HypothesisCheck:
+    return HypothesisCheck(name, *_below(attained, bound))
+
+
+def conclusion_check(attained: float, bound: float) -> ConclusionCheck:
+    return ConclusionCheck(*_below(attained, bound))
 
 
 def classify(hypotheses: tuple[HypothesisCheck, ...], concl: ConclusionCheck) -> Classification:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import textwrap
 
@@ -99,6 +100,38 @@ def test_analyze_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     parsed = json.loads(out)
     assert canonical_dumps(parsed) == out.strip()
+
+
+# sha256 of the --json stdout of each command; a digest changes only together
+# with a CHANGES.md entry saying why the output changed.
+PINNED_JSON = {
+    "analyze --roots 1,2,3 --eps 7":
+        "0eb682e39fe63984e7637718e58842705a80d1eb8da25f4a344f01f63699c046",
+    "analyze --roots 0.001,0.001,500 --eps 1":
+        "cf29f05d11ad807214656bb89a046a6504d3a4feb216460b334e2272e1467ca2",
+    "analyze --roots 1+1i,2":
+        "e7ce05d8432aa25fa243707b9175ecc7c6fddc5390efa1af312316f7b277c71b",
+    "verify --claim real_case --roots 0.1,0.2,0.3 --eps 1 --delta 1":
+        "d8c8e0b056774a209503a8e534eeeb4c422a4673a72d2495d74ee6ba41df2cde",
+    "verify --claim index_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
+        "5440dad310a9ce976b734ca11052b65ed876236a0271642253ea4c581e1210d2",
+    "verify --claim basic_inequality --roots 0.1,0.2,0.3 --eps 1 --delta 1":
+        "cc9ca0e33bd274c5188b10557202cfe41642e91afcaa61750c0eba2b10525015",
+    "verify --claim squeeze --roots 0.1,0.2,0.3 --eps 1 --delta 1":
+        "a701b76523b004a948c77ff7bfe92304ffadf80412d14c0f8d0085ee3f45b0e0",
+    "verify --claim perm_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
+        "c25b5db40a587b851e7ba3380c86542087cc2eaa5583f3041a854d9f614b33de",
+    "verify --claim deriv_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
+        "8eaaab047d22e73d766e89d9f5bd4b4617ea953ff3bc09f72c5051c8d756acce",
+    "verify --claim product_prop --roots 0.1,0.2,0.3 --roots2 0.5,2 --eps 1 --delta 1":
+        "d7efbe9874808c84eb4113d3519d21b301ceb462acb1cb6cb1180dfc74eecd90",
+}
+
+
+@pytest.mark.parametrize("command, digest", PINNED_JSON.items(), ids=list(PINNED_JSON))
+def test_json_output_is_pinned(capsys, command, digest):
+    _, out, _ = run_cli(capsys, *command.split(), "--json")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +296,14 @@ def test_search_degree_range_flag(capsys):
     code, out, _ = run_cli(
         capsys,
         "search", "--claim", "index_bound", "--degree", "2-4", "--samples", "30",
-        "--seed", "3", "--dist", "uniform:0.3,0.9", "--json",
+        "--seed", "3", "--dist", "uniform:0.3,0.9", "--index-band", "0.5", "--json",
     )
     assert code in (0, 2)
-    config = json.loads(out)["results"]["search"]["config"]
+    report = json.loads(out)
+    config = report["results"]["search"]["config"]
     assert config["degree_min"] == 2 and config["degree_max"] == 4
+    # inputs echo every flag, index_band included
+    assert config["index_band"] == report["inputs"]["index_band"] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -64,16 +64,27 @@ def test_close_complex_zeros_stay_distinct():
 
 @pytest.mark.parametrize(
     "s, direction, offset",
-    [(1e-300, 1j, 0), (1e-150, 1j, 0), (1e150, 1j, 0), (1e300, 1j, 0), (1e200, 1, 1e200j)],
-    ids=["1e-300", "1e-150", "1e+150", "1e+300", "1e200-triple"],
+    [(1, 1j, 0), (1e-300, 1j, 0), (1e-150, 1j, 0), (1e150, 1j, 0), (1e299, 1j, 0),
+     (1e300, 1j, 0), (1e301, 1j, 0), (1e200, 1, 1e200j)],
+    ids=["1", "1e-300", "1e-150", "1e+150", "1e+299", "1e+300", "1e+301", "1e200-triple"],
 )
 def test_complex_path_is_scale_invariant(s, direction, offset):
-    # zeros s, 2s, 3s on a line off the real axis: critical points at (2 -/+ 1/sqrt(3)) s
+    # zeros s, 2s, 3s on a line off the real axis: critical points at (2 -/+ 1/sqrt(3)) s,
+    # in that order on a vertical line as on a horizontal one
     points = _complex_critical_points([k * s * direction + offset for k in (1, 2, 3)])
     assert len(points) == 2
-    for t in (2 - 1 / math.sqrt(3), 2 + 1 / math.sqrt(3)):
+    for b, t in zip(points, (2 - 1 / math.sqrt(3), 2 + 1 / math.sqrt(3))):
         want = t * s * direction + offset
-        assert min(abs(b - want) for b in points) <= 1e-13 * abs(want), (points, want)
+        assert abs(b - want) <= 1e-13 * abs(want), (points, want)
+
+
+def test_zeros_whose_differences_overflow():
+    # |u - w| of two of these zeros is above the largest double
+    s = 1.7e308
+    crit = critical_points(from_roots([s, s * 1j, -s]))
+    for b, sign in zip(crit.points, (-1, 1)):
+        want = (sign * 2 * math.sqrt(2) + 2j) / 6 * s
+        assert abs(b - want) <= 1e-13 * abs(want), (crit.points, want)
 
 
 def test_residuals_are_small():
