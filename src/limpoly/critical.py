@@ -8,8 +8,13 @@ times.  The others are the zeros of the logarithmic derivative sum
 f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
 
 * all zeros real: f is strictly decreasing between neighbouring distinct
-  zeros, so bisection on its sign finds the one critical point in each
-  open interval.
+  zeros, so its sign brackets the one critical point in each open
+  interval.  The search is Newton-accelerated and returns the
+  bisection's float: its computed value is non-increasing over
+  consecutive floats too (each term is a correctly rounded monotone
+  function of x, and fsum rounds correctly), so bracketing Newton steps
+  fix the sign that bisection to ulp resolution would see at each of its
+  midpoints, and the bisection is replayed from those signs.
 * otherwise: Aberth sweeps on the secular form of the zeros, that is on
   Q(z) = f(z) prod (z - v_i) evaluated through f.  Iterates that close in
   on an m-fold critical point are finished together by Newton on the
@@ -49,6 +54,7 @@ INTERLACE = "interlace-bisection"
 SIMULTANEOUS = "simultaneous-iteration"
 
 _SWEEP_BUDGET = 200
+_NEWTON_BUDGET = 64  # bracketing steps per interval before the bisection replay
 _STEP_TOL = 1e-13
 _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros count as repeated
 
@@ -105,32 +111,75 @@ def _cluster_reals(values) -> list[tuple[float, int]]:
     return [(math.fsum(c) / len(c), len(c)) for c in clusters]
 
 
-def _log_derivative(clusters, x: float) -> float:
-    return math.fsum(m / (x - v) for v, m in clusters)
+def _log_derivative(clusters, x: float, scale: float = 1.0) -> tuple[float, float]:
+    """f(x) = sum m / (x - v), correctly rounded, and -f'(x) scale^2."""
+    terms = []
+    slope = 0.0
+    for v, m in clusters:
+        r = x - v
+        terms.append(m / r)
+        u = scale / r
+        slope += m * u * u
+    return math.fsum(terms), slope
 
 
 def _interval_zero(clusters, lo: float, hi: float) -> float:
     """The single derivative zero in the open interval (lo, hi).
 
-    The logarithmic derivative sum m_i / (x - v_i) is strictly decreasing
-    there, positive near lo and negative near hi, so bisection on its
-    sign is safe even when the endpoints are repeated zeros.  It runs
-    until the bracket cannot shrink, which leaves the zero to within
-    about an ulp.
+    Newton-accelerated, returns the bisection's float: the float that
+    bisection of (lo, hi) on the sign of f returns when run until the
+    bracket cannot shrink.  f is strictly decreasing on (lo, hi), positive
+    near lo and negative near hi, and its computed value is non-increasing
+    over consecutive floats there: each term m / (x - v) is a correctly
+    rounded, monotone function of x, and fsum rounds the exact sum of the
+    terms correctly.  So a sign seen at one float holds at every float
+    beyond it.
+
+    First, Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
+    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  A step
+    that leaves the bracket, or has no usable slope, becomes its midpoint;
+    a step too small to move x probes the next float toward the zero, and
+    each later such probe goes twice as far.  Then the bisection is
+    replayed: a midpoint at or below a is positive, one at or above b
+    negative, and f is evaluated only at a midpoint strictly inside
+    (a, b).  The bracket is left wider than adjacent floats only where f
+    is exactly 0 at a float, or the steps ran out.
     """
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * a + 0.5 * b  # a + b may overflow near the top of double range
-        if mid <= a or mid >= b:
-            break
-        s = _log_derivative(clusters, mid)
+    a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
+    d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
+    x = 0.5 * lo + 0.5 * hi  # lo + hi may overflow near the top of double range
+    probe = 1.0  # ulps of x
+    for _ in range(_NEWTON_BUDGET):
+        if not a < x < b:
+            x = 0.5 * a + 0.5 * b
+            if not a < x < b:
+                break
+        s, slope = _log_derivative(clusters, x, d)
         if s > 0.0:
-            a = mid
+            a = x
         elif s < 0.0:
-            b = mid
+            b = x
+        else:
+            break
+        sd = s * d
+        den = sd * (d / (x - lo) - d / (hi - x)) - slope  # F'(x) d^2 / ((x - lo)(hi - x))
+        x_new = x - d * sd / den if -math.inf < den < 0.0 else math.nan  # nan: bisect
+        if x_new == x:  # probe toward the zero
+            x_new = x + math.copysign(probe * math.ulp(x), s)
+            probe *= 2.0
+        x = x_new
+    for _ in range(200):
+        mid = 0.5 * lo + 0.5 * hi
+        if mid <= lo or mid >= hi:
+            break
+        s = 1.0 if mid <= a else -1.0 if mid >= b else _log_derivative(clusters, mid)[0]
+        if s > 0.0:
+            lo = mid
+        elif s < 0.0:
+            hi = mid
         else:
             return mid
-    return 0.5 * a + 0.5 * b
+    return 0.5 * lo + 0.5 * hi
 
 
 def _real_critical_points(values) -> list[float]:

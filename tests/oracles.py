@@ -4,11 +4,14 @@ Nothing here imports the code paths under test: expansions are redone
 with exact rational arithmetic, elementary symmetric values come from
 the textbook recurrence, hull containment is a from-scratch
 monotone-chain construction, and real derivative zeros are bisected at
-60 digits with mpmath.
+60 digits with mpmath.  bisection_interval_zero is the double-precision
+bisection that the real critical-point path once ran, kept as the
+reference for the float that path must still return.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +28,27 @@ def exact_poly_from_roots(roots):
         nxt.append(coeffs[-1])
         coeffs = nxt
     return coeffs
+
+
+def bisection_interval_zero(clusters, lo, hi):
+    """The zero of sum m / (x - v) over (v, m) in clusters, in (lo, hi), by plain bisection.
+
+    Bisects on the sign of the fsum of the terms until the bracket cannot
+    shrink, or returns the first midpoint where the sum is exactly 0.
+    """
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * a + 0.5 * b  # a + b may overflow near the top of double range
+        if mid <= a or mid >= b:
+            break
+        s = math.fsum(m / (mid - v) for v, m in clusters)
+        if s > 0.0:
+            a = mid
+        elif s < 0.0:
+            b = mid
+        else:
+            return mid
+    return 0.5 * a + 0.5 * b
 
 
 def elementary_symmetric(values, order):

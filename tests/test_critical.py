@@ -1,17 +1,28 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from limpoly import (
     ConvergenceError,
+    critical,
     critical_points,
     from_roots,
     higher_derivative_zeros,
     sendov_distances,
 )
-from limpoly.critical import _complex_critical_points
+from limpoly.critical import (
+    _cluster_reals,
+    _complex_critical_points,
+    _interval_zero,
+    _log_derivative,
+    _real_critical_points,
+)
 from oracles import (
+    bisection_interval_zero,
     certify_critical_points,
     complex_derivative_zeros,
     hull_distance,
@@ -358,3 +369,130 @@ def test_convergence_error_carries_iterates():
         _complex_critical_points([1, 1j, -1, -1j], budget=2)
     assert len(err.value.iterates) == 3
     assert len(err.value.residuals) == 3
+
+
+# ---------------------------------------------------------------------------
+# the real path's interval search returns the plain bisection's float
+
+
+def _tower_intervals(values):
+    """(clusters, lo, hi) for each gap between distinct zeros, at every stage of the tower."""
+    while len(values) >= 2:
+        clusters = _cluster_reals(values)
+        yield from ((clusters, lo, hi) for (lo, _), (hi, _) in zip(clusters, clusters[1:]))
+        values = _real_critical_points(values)
+
+
+def _bisection_cases():
+    rng = np.random.default_rng(13)
+    log_uniform = [tuple(float(x) for x in np.exp(rng.uniform(-7, 7, n))) for n in (2, 3, 5, 8, 13, 21, 40)]
+    clustered = [
+        (1.0,) * 10 + (2.0,) * 10,
+        (0.5,) * 3 + (1.7,) * 10 + (4.0,),
+        (-1.0, 0.25, 0.25, 3.0, 3.0, 3.0),
+    ]
+    # the sum is exactly 0 at a float: at the first midpoint, or deeper in
+    small_ints = [
+        (1.0, 3.0),
+        (-2.0, 2.0),
+        (0.0, 1.0, 3.0, 4.0),
+        (-3.0, -1.0, 1.0),
+        (-3.0, 1.0, 3.0, 4.0),
+        (-3.0, -3.0, -3.0, -1.0, 0.0),
+    ]
+    scaled = [tuple(s * x for x in log_uniform[4]) for s in (1e-300, 1e300)]
+    signs = rng.choice((-1.0, 1.0), 12)
+    spanning = [tuple(float(x) for x in signs * np.exp(rng.uniform(-690, 690, 12)))]
+    return log_uniform + clustered + small_ints + scaled + spanning
+
+
+_tower_values = st.one_of(
+    st.lists(st.floats(-7, 7).map(math.exp), min_size=2, max_size=40),
+    st.lists(st.tuples(st.floats(-3, 3), st.integers(1, 10)), min_size=2, max_size=4).map(
+        lambda pairs: [v for v, m in pairs for _ in range(m)]
+    ),
+    st.lists(st.integers(-6, 6).map(float), min_size=2, max_size=10),
+    st.tuples(
+        st.sampled_from((1e-300, 1e300)),
+        st.lists(st.floats(-3, 3).map(math.exp), min_size=2, max_size=20),
+    ).map(lambda pair: [pair[0] * x for x in pair[1]]),
+    st.lists(
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-690, 690)).map(
+            lambda pair: pair[0] * math.exp(pair[1])
+        ),
+        min_size=2,
+        max_size=15,
+    ),
+)
+
+
+def _assert_bisection_float(values):
+    for clusters, lo, hi in _tower_intervals(values):
+        got = _interval_zero(clusters, lo, hi)
+        assert got.hex() == bisection_interval_zero(clusters, lo, hi).hex(), (clusters, lo, hi)
+
+
+def _assert_sum_monotone_about_zeros(values):
+    # the premise of the replay: the computed sum does not increase from one float to the next
+    for clusters, lo, hi in _tower_intervals(values):
+        below = above = _interval_zero(clusters, lo, hi)
+        xs = [below]
+        for _ in range(64):
+            below, above = math.nextafter(below, lo), math.nextafter(above, hi)
+            xs = [below] * (below > lo) + xs + [above] * (above < hi)
+        sums = [_log_derivative(clusters, x)[0] for x in xs]
+        assert all(u >= w for u, w in zip(sums, sums[1:])), (clusters, lo, hi)
+
+
+@pytest.mark.parametrize("values", _bisection_cases())
+def test_interval_zero_is_the_bisection_float(values):
+    _assert_bisection_float(values)
+
+
+def test_bisection_cases_reach_exact_zero_sums():
+    # the cases cover the replay's only evaluations: midpoints where the sum is exactly 0
+    exact = [
+        (clusters, lo, hi)
+        for values in _bisection_cases()
+        for clusters, lo, hi in _tower_intervals(values)
+        if _log_derivative(clusters, _interval_zero(clusters, lo, hi))[0] == 0.0
+    ]
+    assert any(_interval_zero(c, lo, hi) != 0.5 * lo + 0.5 * hi for c, lo, hi in exact)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(values=_tower_values)
+def test_interval_zero_is_the_bisection_float_property(values):
+    _assert_bisection_float(values)
+
+
+@pytest.mark.parametrize("values", _bisection_cases())
+def test_log_derivative_is_monotone_over_floats(values):
+    _assert_sum_monotone_about_zeros(values)
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(values=_tower_values)
+def test_log_derivative_is_monotone_over_floats_property(values):
+    _assert_sum_monotone_about_zeros(values)
+
+
+def test_interval_zero_evaluates_the_sum_a_few_times(monkeypatch):
+    # plain bisection to ulp resolution evaluates it about 52 times per interval
+    intervals = [iv for i in range(5) for iv in _tower_intervals(_log_uniform(i, 20))]
+    log_derivative = critical._log_derivative
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_derivative(*args)
+
+    monkeypatch.setattr(critical, "_log_derivative", counted)
+    per_interval = []
+    for clusters, lo, hi in intervals:
+        calls.clear()
+        _interval_zero(clusters, lo, hi)
+        per_interval.append(len(calls))
+    assert statistics.mean(per_interval) <= 12
