@@ -4,9 +4,22 @@ Replacing every zero by its modulus produces a positive-real-zero
 polynomial with the same measure.  The pullback check compares the
 critical points of the projected polynomial with the true critical
 points of the complex one; it measures distances, it asserts nothing.
+It takes the true critical set as computed (the one `limpoly analyze`
+reports), so only the projected side is solved.
 """
 
-from limpoly import complex_pullback_check, measure, modulus_projection
+from limpoly import (
+    complex_pullback_check,
+    critical_points,
+    from_roots,
+    measure,
+    modulus_projection,
+)
+
+
+def pullback(zeros, slack=0.0):
+    return complex_pullback_check(zeros, critical_points(from_roots(zeros)), slack)
+
 
 roots = (3 + 4j, 1j, -0.5)
 projected = modulus_projection(roots)
@@ -16,7 +29,7 @@ print(f"measure before {measure(roots)}  after {measure(projected)}  (preserved 
 
 print()
 print("== symmetric pair ==")
-record = complex_pullback_check([0.5, 0.5j])
+record = pullback([0.5, 0.5j])
 print("zeros (0.5, 0.5i): the only critical point is the centroid",
       record.true_critical_points[0])
 print(f"distance from the least-modulus zero: {record.min_distance_true:.6f}"
@@ -24,7 +37,7 @@ print(f"distance from the least-modulus zero: {record.min_distance_true:.6f}"
 
 print()
 print("== fourth roots of unity: an exact boundary ==")
-record = complex_pullback_check([1, 1j, -1, -1j])
+record = pullback([1, 1j, -1, -1j])
 print("true critical points (triple zero of 4x^3):",
       [complex(round(z.real, 12), round(z.imag, 12)) for z in record.true_critical_points])
 print("distance from every zero:",
@@ -33,4 +46,4 @@ print("projected side: every modulus is 1, so the projected polynomial is")
 print(f"(x-1)^4 with critical points {[round(z.real, 6) for z in record.projected_critical_points]}"
       f" and distances {[round(d, 6) for d in record.projected_distances]}")
 print("the true distance sits exactly at 1: a slack of any size settles the comparison,")
-print(f"e.g. slack 0.01 -> within: {complex_pullback_check([1, 1j, -1, -1j], slack=0.01).within_bound}")
+print(f"e.g. slack 0.01 -> within: {pullback([1, 1j, -1, -1j], slack=0.01).within_bound}")

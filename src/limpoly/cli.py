@@ -103,7 +103,7 @@ def _report(args, results: dict, diagnostics: dict | None = None, **parsed) -> d
     return {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "inputs": to_jsonable(inputs),
+        "inputs": inputs,
         "results": results,
         "diagnostics": base,
     }
@@ -238,7 +238,7 @@ def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(canonical_dumps(report))
     else:
-        _render_sections(report["results"], sys.stdout)
+        _render_sections(to_jsonable(report["results"]), sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) 
             claims[cid.value.lower()] = _skipped("no-eps")
         else:
             verdict = run_claim(cid, rs, eps=eps, delta=delta, index_band=index_band)
-            claims[cid.value.lower()] = to_jsonable(verdict)
+            claims[cid.value.lower()] = verdict
     claims["product_prop"] = _skipped("requires-two-polynomials")
     return claims
 
@@ -275,21 +275,20 @@ def _cmd_analyze(args) -> int:
     if args.eps is None:
         results["limitedness"] = _skipped("no-eps")
     else:
-        results["limitedness"] = to_jsonable(is_epsilon_limited(rs, args.eps))
+        results["limitedness"] = is_epsilon_limited(rs, args.eps)
 
-    positive_real = rs.is_positive_real()
-    if positive_real:
+    if rs.is_positive_real():
         exp = local_expansion_min(rs)
-        results["expansion"] = to_jsonable(exp)
-        results["index_bound"] = to_jsonable(index_bound_check(exp, rs))
+        results["expansion"] = exp
+        results["index_bound"] = index_bound_check(exp, rs)
     else:
         results["expansion"] = _skipped("not-positive-real")
         results["index_bound"] = _skipped("not-positive-real")
 
     if rs.n >= 2:
         crit = critical_points(from_roots(rs))
-        results["critical_points"] = to_jsonable(crit)
-        results["sendov_distances"] = to_jsonable(sendov_distances(rs, crit))
+        results["critical_points"] = crit
+        results["sendov_distances"] = sendov_distances(rs, crit)
     else:
         results["critical_points"] = _skipped("degree-1")
         results["sendov_distances"] = _skipped("degree-1")
@@ -301,7 +300,7 @@ def _cmd_analyze(args) -> int:
     elif rs.n < 2:
         results["complex_pullback"] = _skipped("degree-1")
     else:
-        results["complex_pullback"] = to_jsonable(complex_pullback_check(rs, args.slack))
+        results["complex_pullback"] = complex_pullback_check(rs, crit, args.slack)
 
     _emit(_report(args, results, roots=rs.roots), args.json)
     return 0
@@ -327,7 +326,7 @@ def _cmd_verify(args) -> int:
         second_roots=second,
         index_band=args.index_band,
     )
-    results = {"claim": cid.value, "verdict": to_jsonable(verdict)}
+    results = {"claim": cid.value, "verdict": verdict}
     parsed = {"claim": cid.value, "roots": rs.roots, "roots2": second.roots if second else None}
     _emit(_report(args, results, **parsed), args.json)
     return 2 if verdict.classification is Classification.COUNTEREXAMPLE else 0
@@ -375,14 +374,10 @@ def _cmd_search(args) -> int:
 def _cmd_expand(args) -> int:
     rs = parse_roots(args.roots)
     selector = args.center
-    results: dict
     if selector in ("min", "max-plus"):
         expand = local_expansion_min if selector == "min" else local_expansion_max_plus
         exp = expand(rs)
-        results = {
-            "expansion": to_jsonable(exp),
-            "index_bound": to_jsonable(index_bound_check(exp, rs)),
-        }
+        results = {"expansion": exp, "index_bound": index_bound_check(exp, rs)}
     elif selector.startswith("value:"):
         try:
             center = float(selector[len("value:"):])
@@ -393,7 +388,7 @@ def _cmd_expand(args) -> int:
         shifted = taylor_shift(from_roots(rs), center)
         results = {
             "center": center,
-            "shift_coefficients": to_jsonable(list(shifted)),
+            "shift_coefficients": shifted,
             "index_bound": _skipped("non-extremal-center"),
         }
     else:

@@ -183,15 +183,21 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
 
 
 def _real_critical_points(values) -> list[float]:
-    """Sorted zeros of the derivative of prod(x - v) for real values v."""
-    clusters = _cluster_reals(values)
+    """Sorted zeros of the derivative of prod(x - v) for real values v.
+
+    Values all below 1 in size are solved scaled up by a power of two
+    (exact: scaling up never rounds), so no gap x - v is subnormal, where
+    m / (x - v) would overflow.
+    """
+    e = min(0, math.frexp(max(abs(v) for v in values))[1])
+    clusters = _cluster_reals([math.ldexp(v, -e) for v in values])
     points: list[float] = []
     for rep, mult in clusters:
         points.extend([rep] * (mult - 1))
     for (lo, _), (hi, _) in zip(clusters, clusters[1:]):
         points.append(_interval_zero(clusters, lo, hi))
     points.sort()
-    return points
+    return [math.ldexp(p, e) for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .claims import _STIRLING_N_MAX, run_claim
-from .critical import ConvergenceError, critical_points, sendov_distances
+from .critical import ConvergenceError, CriticalSet, critical_points, sendov_distances
 from .measure import _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
 from .serialize import canonical_dumps, to_jsonable
@@ -377,19 +377,24 @@ class PullbackRecord:
     projected_zero_moduli: bool
 
 
-def complex_pullback_check(complex_roots: RootsLike, slack: float = 0.0) -> PullbackRecord:
-    """Project to moduli, solve both sides, report zero-to-critical distances."""
+def complex_pullback_check(
+    complex_roots: RootsLike, crit: CriticalSet, slack: float = 0.0
+) -> PullbackRecord:
+    """Project to moduli, solve the projection, report zero-to-critical distances.
+
+    crit is the critical set of the zeros themselves, as for
+    sendov_distances: a caller that reports it has solved it already.
+    """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     rs = RootMultiset(complex_roots)
     if rs.n < 2:
         raise ValueError("needs at least two roots")
+    if len(crit.points) != rs.n - 1:
+        raise ValueError(f"{rs.n} zeros have {rs.n - 1} critical points, not {len(crit.points)}")
     projected = modulus_projection(rs)
-
-    true_crit = critical_points(from_roots(rs))
     projected_crit = critical_points(from_roots(projected))
-
-    table = sendov_distances(rs, true_crit)
+    table = sendov_distances(rs, crit)
     j = table.min_zero_index
     min_distance = table.per_zero_min[j]
     projected_anchor = abs(rs.roots[j])
@@ -398,7 +403,7 @@ def complex_pullback_check(complex_roots: RootsLike, slack: float = 0.0) -> Pull
     )
     return PullbackRecord(
         min_zero_index=j,
-        true_critical_points=true_crit.points,
+        true_critical_points=crit.points,
         projected_roots=projected.roots,
         projected_critical_points=projected_crit.points,
         min_distance_true=min_distance,

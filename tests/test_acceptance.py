@@ -312,7 +312,8 @@ def test_criterion_11_complex_projection():
         m, pm = measure(roots), measure(projected)
         assert abs(pm - m) <= 1e-12 * m
 
-    record = complex_pullback_check([1, 1j, -1, -1j])
+    quartic = [1, 1j, -1, -1j]
+    record = complex_pullback_check(quartic, critical_points(from_roots(quartic)))
     assert len(record.true_critical_points) == 3
     assert all(abs(b) <= 1e-9 for b in record.true_critical_points)
     for distance in record.per_root_min_distance:

@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from limpoly import critical
 from limpoly.cli import main, parse_complex
 from limpoly.serialize import canonical_dumps
 
@@ -96,6 +97,28 @@ def test_analyze_complex_roots(capsys):
             assert isinstance(section["reason"], str) and section["reason"]
 
 
+def test_analyze_solves_complex_critical_points_once(capsys, monkeypatch):
+    # the pullback check takes the critical set analyze reports instead of solving it again
+    calls = []
+    solve = critical._complex_critical_points
+    monkeypatch.setattr(
+        critical, "_complex_critical_points", lambda v: calls.append(v) or solve(v)
+    )
+    code, out, _ = run_cli(capsys, "analyze", "--roots", "1+1i,2,0-0.5i", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(calls) == 1
+    pullback, crit = results["complex_pullback"], results["critical_points"]
+    assert pullback["true_critical_points"] == crit["points"]
+
+
+def test_analyze_subnormal_real_zeros(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--roots", "1e-310,2e-310,3e-310", "--json")
+    assert (code, err) == (0, "")
+    points = json.loads(out)["results"]["critical_points"]["points"]
+    assert points == [[1.4226497308104e-310, 0.0], [2.5773502691896e-310, 0.0]]
+
+
 def test_analyze_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     parsed = json.loads(out)
@@ -125,6 +148,16 @@ PINNED_JSON = {
         "8eaaab047d22e73d766e89d9f5bd4b4617ea953ff3bc09f72c5051c8d756acce",
     "verify --claim product_prop --roots 0.1,0.2,0.3 --roots2 0.5,2 --eps 1 --delta 1":
         "d7efbe9874808c84eb4113d3519d21b301ceb462acb1cb6cb1180dfc74eecd90",
+    "expand --roots 1,2,3 --center min":
+        "b411eacb1b253585b6f736d413a2e0afc8b5c03baf43bcba8027a8eacf20d783",
+    "expand --roots 1,2,3 --center max-plus":
+        "ef3824ca9ec732a14591da9b63232804bd77f2722780c17ba38c35558a06ffc5",
+    "expand --roots 1,2,3 --center value:0.5":
+        "c2def91dd105b7efae0dcd1755360a677db32e885593e0db60bbdf8ee09eaf29",
+    "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
+        "e9cb14abc46f324cc0cafab5870c73f5382a2ce580c51f6517c1905fe142ef1a",
+    "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
+        "8309681b849194a7547af2d0c58f79dac065edaba08bf834fb0c7ad4baaf0455",
 }
 
 

@@ -57,9 +57,10 @@ def test_real_path_near_the_top_of_double_range():
     assert crit.points == (1.25e308,)
 
 
-@pytest.mark.parametrize("s", [1e-12, 1e-300, 1e300])
+@pytest.mark.parametrize("s", [1e-12, 1e-300, 1e-310, 1e300])
 def test_close_zeros_stay_distinct_at_every_scale(s):
-    # zeros are grouped by a gap relative to their size, never an absolute one
+    # zeros are grouped by a gap relative to their size, never an absolute one;
+    # at 1e-310 the gaps are subnormal, where m / (x - v) would overflow unscaled
     crit = critical_points(from_roots([s, 2 * s, 3 * s]))
     expected = (2 * s - s / math.sqrt(3), 2 * s + s / math.sqrt(3))
     for got, want in zip(crit.points, expected):

@@ -9,10 +9,13 @@ from scipy import stats
 
 from limpoly import (
     ClaimId,
+    CriticalSet,
     SearchConfig,
     canonical_dumps,
     complex_pullback_check,
     config_hash,
+    critical_points,
+    from_roots,
     generate_roots,
     measure,
     merge_reports,
@@ -311,20 +314,24 @@ def test_modulus_projection_preserves_measure_randomly():
         assert measure(projected) == pytest.approx(measure(roots), rel=1e-12)
 
 
+def _pullback(roots, slack=0.0):
+    return complex_pullback_check(roots, critical_points(from_roots(roots)), slack)
+
+
 def test_pullback_symmetric_pair():
-    record = complex_pullback_check([0.5, 0.5j])
+    record = _pullback([0.5, 0.5j])
     assert record.true_critical_points[0] == pytest.approx(0.25 + 0.25j, abs=1e-12)
     assert record.min_distance_true == pytest.approx(abs(0.25 + 0.25j - 0.5), abs=1e-12)
     assert record.within_bound
 
 
 def test_pullback_repeated_complex_root():
-    record = complex_pullback_check([1 + 2j, 1 + 2j])
+    record = _pullback([1 + 2j, 1 + 2j])
     assert record.min_distance_true <= 1e-12
 
 
 def test_pullback_fourth_roots_of_unity():
-    record = complex_pullback_check([1, 1j, -1, -1j])
+    record = _pullback([1, 1j, -1, -1j])
     assert len(record.true_critical_points) == 3
     assert all(abs(b) <= 1e-9 for b in record.true_critical_points)
     for d in record.per_root_min_distance:
@@ -332,11 +339,20 @@ def test_pullback_fourth_roots_of_unity():
     # exact boundary: the strict comparison sits at roundoff, but any
     # positive slack settles it
     assert record.min_distance_true == pytest.approx(1.0, abs=1e-9)
-    assert complex_pullback_check([1, 1j, -1, -1j], slack=0.01).within_bound
+    assert _pullback([1, 1j, -1, -1j], slack=0.01).within_bound
 
 
 def test_pullback_rejects_singletons_and_bad_slack():
-    with pytest.raises(ValueError):
-        complex_pullback_check([1 + 1j])
-    with pytest.raises(ValueError):
-        complex_pullback_check([1 + 1j, 2], slack=-0.1)
+    # the critical sets are well formed, so only the pullback's own checks can fire
+    with pytest.raises(ValueError, match="at least two roots"):
+        complex_pullback_check([1 + 1j], CriticalSet((), (), "none"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _pullback([1 + 1j, 2], slack=-0.1)
+
+
+def test_pullback_rejects_a_critical_set_of_the_wrong_length():
+    cubic = critical_points(from_roots([1 + 1j, 2, -0.5j]))
+    with pytest.raises(ValueError, match="2 zeros have 1 critical points, not 2"):
+        complex_pullback_check([1 + 1j, 2], cubic)
+    with pytest.raises(ValueError, match="4 zeros have 3 critical points, not 2"):
+        complex_pullback_check([1 + 1j, 2, -0.5j, 3], cubic)
