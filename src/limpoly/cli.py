@@ -259,11 +259,14 @@ def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) 
         return {cid.value.lower(): _skipped(reason) for cid in ClaimId}
     claims: dict = {}
     for cid, needs_eps in _ANALYZE_CLAIMS:
+        name = cid.value.lower()
         if needs_eps and eps is None:
-            claims[cid.value.lower()] = _skipped("no-eps")
+            claims[name] = _skipped("no-eps")
         else:
-            verdict = run_claim(cid, rs, eps=eps, delta=delta, index_band=index_band)
-            claims[cid.value.lower()] = verdict
+            try:
+                claims[name] = run_claim(cid, rs, eps=eps, delta=delta, index_band=index_band)
+            except OverflowError:
+                claims[name] = _skipped("out-of-double-range")
     claims["product_prop"] = _skipped("requires-two-polynomials")
     return claims
 

@@ -20,6 +20,14 @@ f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
   on an m-fold critical point are finished together by Newton on the
   m-th derivative, which has a simple zero there.
 
+Each solve multiplies its zeros by one power of two before grouping
+them, which is exact in the normal range, and maps the points back.
+The real path takes the midpoint of the largest and smallest exponents
+of the nonzero zeros, raised to keep the largest below 2**1022; while
+those exponents span well under the normal range, no zero, gap or term
+m / (x - v) is subnormal or overflows.  The complex path brings the
+largest component near 1, so no difference of two zeros overflows.
+
 Higher derivatives repeat the step on the previous stage's points.
 Solver state is per call; calls are independent and concurrency-safe.
 """
@@ -89,9 +97,6 @@ def _scaled_residual(coeffs, z: complex) -> float:
 
 
 def _coincident(u, w) -> bool:
-    # on the pair scaled near 1: |u - w| may overflow where u and w do not
-    e = math.frexp(max(abs(u.real), abs(u.imag), abs(w.real), abs(w.imag)))[1]
-    u, w = _ldexp(u, -e), _ldexp(w, -e)
     return abs(u - w) <= _CLUSTER_GAP * max(abs(u), abs(w))
 
 
@@ -99,16 +104,18 @@ def _coincident(u, w) -> bool:
 # all-real path
 
 
-def _cluster_reals(values) -> list[tuple[float, int]]:
-    """Sorted (representative, multiplicity) pairs, chaining coincident neighbours."""
-    ordered = sorted(values)
+def _cluster_reals(values) -> tuple[list[tuple[float, int]], int]:
+    """Sorted (representative, multiplicity) pairs of the values times 2**-e, and e."""
+    exponents = [math.frexp(v)[1] for v in values if v] or [0]
+    e = max((min(exponents) + max(exponents)) // 2, max(exponents) - 1022)
+    ordered = sorted(math.ldexp(v, -e) for v in values)
     clusters: list[list[float]] = [[ordered[0]]]
     for v in ordered[1:]:
         if _coincident(clusters[-1][-1], v):
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    return [(math.fsum(c) / len(c), len(c)) for c in clusters]
+    return [(math.fsum(c) / len(c), len(c)) for c in clusters], e
 
 
 def _log_derivative(clusters, x: float, scale: float = 1.0) -> tuple[float, float]:
@@ -183,14 +190,8 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
 
 
 def _real_critical_points(values) -> list[float]:
-    """Sorted zeros of the derivative of prod(x - v) for real values v.
-
-    Values all below 1 in size are solved scaled up by a power of two
-    (exact: scaling up never rounds), so no gap x - v is subnormal, where
-    m / (x - v) would overflow.
-    """
-    e = min(0, math.frexp(max(abs(v) for v in values))[1])
-    clusters = _cluster_reals([math.ldexp(v, -e) for v in values])
+    """Sorted zeros of the derivative of prod(x - v) for real values v."""
+    clusters, e = _cluster_reals(values)
     points: list[float] = []
     for rep, mult in clusters:
         points.extend([rep] * (mult - 1))
@@ -270,16 +271,16 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     _STEP_TOL of max(|z|, spread).  Iterates whose inclusion discs
     (radius deg Q * |Q/Q'|) overlap close in on one m-fold critical
     point; Newton on P^(m) from their mean finishes it, and is kept only
-    where f vanishes to roundoff.  All of this runs on the distinct zeros
-    times the power of two that brings their largest component near 1, so
-    the secular sums do not overflow or underflow for the zeros' scale
-    alone; the scaling rounds only what it takes below the normal range.
+    where f vanishes to roundoff.
     """
-    clusters = [(sum(g) / len(g), len(g)) for g in _groups(values, _coincident)]
-    points = [v for v, m in clusters for _ in range(m - 1)]
     # components, not abs(): the modulus of a zero near the top of double range overflows
-    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v, _ in clusters))[1]
-    clusters = [(_ldexp(v, -e), m) for v, m in clusters]
+    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in values))[1]
+    scaled = [_ldexp(v, -e) for v in values]
+    groups = _groups(range(len(values)), lambda i, j: _coincident(scaled[i], scaled[j]))
+    clusters = [(sum(scaled[i] for i in g) / len(g), len(g)) for g in groups]
+    # a repeated zero's point: its unscaled mean, or the scaled one mapped back where the sum overflows
+    means = [sum(values[i] for i in g) / len(g) for g in groups]
+    points = [u if cmath.isfinite(u) else _ldexp(v, e) for u, (v, m) in zip(means, clusters) for _ in range(m - 1)]
     d = len(clusters) - 1  # degree of Q
     n = len(values)
     center = sum(m * v for v, m in clusters) / n

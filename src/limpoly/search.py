@@ -43,6 +43,7 @@ __all__ = [
 # regardless of sharding; the identifier is embedded in every report.
 RNG_ALGORITHM = "numpy-philox4x64-10/seedsequence"
 
+# Samples with no verdict: the solver ran out of sweeps, or a checked value left double range.
 SOLVER_FAILURE = "SOLVER_FAILURE"
 
 # Fixed histogram bin edges for conclusion margins; bucket 0 is everything
@@ -264,7 +265,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
                 second_roots=second,
                 index_band=config.index_band,
             )
-        except ConvergenceError:
+        except (ConvergenceError, OverflowError):
             counts[SOLVER_FAILURE] += 1
             continue
         counts[verdict.classification.value] += 1

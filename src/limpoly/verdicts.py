@@ -4,14 +4,16 @@ A checker evaluates each hypothesis and the conclusion of one claim on
 one concrete instance and classifies the instance.  Every inequality is
 checked by one rule, attained < bound: the margin is bound - attained,
 the noise boundary is DEFAULT_TOL.gap(bound, attained), and the check
-holds when the margin is positive.  COUNTEREXAMPLE is only
-emitted when every hypothesis margin clears the noise boundary and the
-conclusion margin fails beyond it, so boundary ties never count as
+holds when the margin is positive.  A side that is not finite raises
+OverflowError, since no margin can be read from it.  COUNTEREXAMPLE is
+only emitted when every hypothesis margin clears the noise boundary and
+the conclusion margin fails beyond it, so boundary ties never count as
 counterexamples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -72,6 +74,8 @@ class ClaimVerdict:
 
 def _below(attained: float, bound: float) -> tuple[bool, float, float]:
     """The rule attained < bound: (satisfied, margin, noise boundary)."""
+    if not (math.isfinite(attained) and math.isfinite(bound)):
+        raise OverflowError(f"checked value out of double range: {attained!r} < {bound!r}")
     margin = bound - attained
     return margin > 0.0, margin, DEFAULT_TOL.gap(bound, attained)
 

@@ -24,6 +24,7 @@ from limpoly import (
     stirling_bound_compare,
     stirling_sum,
 )
+from limpoly.verdicts import conclusion_check, hypothesis_check
 
 
 def _mp_stirling_sum(n: int) -> float:
@@ -117,6 +118,17 @@ def test_basic_inequality_rejects_singleton():
         check_basic_inequality([0.5], eps=1)
     with pytest.raises(ValueError):
         check_basic_inequality([1, 2], eps=0)
+
+
+def test_a_check_with_a_side_out_of_double_range_raises():
+    # eps * stirling_sum(3) overflows: a margin of inf would read as "holds"
+    with pytest.raises(OverflowError, match="double range"):
+        check_basic_inequality([1, 2, 3], eps=1e308)
+    for attained, bound in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)):
+        with pytest.raises(OverflowError):
+            conclusion_check(attained, bound)
+        with pytest.raises(OverflowError):
+            hypothesis_check("h", attained, bound)
 
 
 def test_basic_inequality_chain_flags():

@@ -119,6 +119,28 @@ def test_analyze_subnormal_real_zeros(capsys):
     assert points == [[1.4226497308104e-310, 0.0], [2.5773502691896e-310, 0.0]]
 
 
+def test_analyze_mixed_scale_real_zeros(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--roots", "1e-310,2e-310,0.5", "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["results"]["critical_points"]["points"]) == 2
+
+
+def test_analyze_mixed_scale_complex_zeros(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--roots=1e-200+1e-200i,2e-200,0+1e150i,3e150")
+    assert (code, err) == (0, "")
+    assert "critical points (simultaneous-iteration): 1.500000e-200+5.000000e-201i," in out
+
+
+def test_analyze_skips_a_claim_whose_check_leaves_double_range(capsys):
+    # eps * stirling_sum(3) is inf: those claims have no verdict, the rest of the report stands
+    code, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "1e308", "--json")
+    assert code == 0
+    claims = json.loads(out)["results"]["claims"]
+    for name in ("basic_inequality", "perm_sum_bound", "deriv_sum_bound"):
+        assert claims[name] == {"skipped": True, "reason": "out-of-double-range"}
+    assert claims["squeeze"]["classification"] == "COUNTEREXAMPLE"
+
+
 def test_analyze_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     parsed = json.loads(out)
@@ -158,6 +180,12 @@ PINNED_JSON = {
         "e9cb14abc46f324cc0cafab5870c73f5382a2ce580c51f6517c1905fe142ef1a",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
         "8309681b849194a7547af2d0c58f79dac065edaba08bf834fb0c7ad4baaf0455",
+    "analyze --roots=1e-300,2e-300,3e-300":
+        "e51dd8a6314d3921c6aeafaa9d1ed93c6627f3ac7e2c54a5c04f71e6eb1ba6e4",
+    "analyze --roots=1+1i,1+1i,2,0-0.5i":
+        "92ec26b753a1aec562fc4698df6f794b98b861664f8445c18c72eb2a4b7dafa2",
+    "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
+        "1b4892fab9a4e9c37b339d1af2bce9010bd64735445f0c4a3b4da58589e6ab36",
 }
 
 
@@ -285,10 +313,17 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
         (["expand", "--center", "min", "--roots", "1e-300,1e200,1e200,1e-100"], "double range"),
         (["expand", "--center", "value:1e200", "--roots", "1,2,3"], "double range"),
         (["expand", "--center", "value:nan", "--roots", "1,2,3"], "finite"),
+        (["verify", "--claim", "basic_inequality", "--roots", "1,2,3", "--eps", "1e308"],
+         "double range"),
+        (["verify", "--claim", "basic_inequality", "--roots", "1,2,3", "--eps", "1e308",
+          "--json"], "double range"),
+        (["verify", "--claim", "product_prop", "--roots", "1", "--roots2", "1", "--eps", "1e200",
+          "--delta", "1e200", "--json"], "double range"),
     ],
     ids=[
         "infinite-root", "infinite-eps", "measure-overflow", "search-range",
         "index-bound-overflow", "expand-overflow", "expand-shift-overflow", "expand-nan-center",
+        "bound-overflow", "bound-overflow-json", "product-bound-overflow-json",
     ],
 )
 def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word):

@@ -1,9 +1,11 @@
+import cmath
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from limpoly import (
@@ -65,6 +67,33 @@ def test_close_zeros_stay_distinct_at_every_scale(s):
     expected = (2 * s - s / math.sqrt(3), 2 * s + s / math.sqrt(3))
     for got, want in zip(crit.points, expected):
         assert abs(got.real - want) <= 1e-13 * want, (got, want)
+
+
+def test_mixed_scale_real_zeros_with_subnormal_gaps():
+    # the gap between the two tiny zeros is subnormal, where m / (x - v) would overflow
+    # unscaled; the solve's one power of two brings every zero into the normal range
+    crit = critical_points(from_roots([1e-310, 2e-310, 0.5]))
+    assert len(crit.points) == 2
+    assert abs(crit.points[0].real - 1.5e-310) <= 1e-13 * 1.5e-310
+    assert crit.points[1].real == pytest.approx(1 / 3, rel=1e-15)
+
+
+def test_mixed_scale_complex_zeros():
+    # scaled near 1, the two tiny zeros fall below the subnormal range and count as one
+    # double zero: its critical point is their mean, right to the zeros' scale
+    roots = [1e-200 + 1e-200j, 2e-200, 1e150j, 3e150]
+    points = critical_points(from_roots(roots)).points
+    assert points[0] == 1.5e-200 + 5e-201j
+    for b, want in zip(points, certify_critical_points(roots, points)):
+        assert abs(b - complex(want)) <= 1e-13 * 3e150, (points, want)
+
+
+def test_repeated_complex_zero_at_the_top_of_double_range():
+    # the unscaled sum of the two zeros overflows; their point is the scaled mean mapped back
+    for roots in ([1e308, 1e308, 1j], [1.7e308 + 1.7e308j] * 2 + [1j]):
+        points = _complex_critical_points(roots)
+        assert roots[0] in points
+        assert all(cmath.isfinite(p) for p in points), points
 
 
 def test_close_complex_zeros_stay_distinct():
@@ -377,10 +406,18 @@ def test_convergence_error_carries_iterates():
 
 
 def _tower_intervals(values):
-    """(clusters, lo, hi) for each gap between distinct zeros, at every stage of the tower."""
+    """(clusters, lo, hi) for each gap between distinct zeros, at every stage of the tower.
+
+    Each stage gives the gaps the solve searches, on the zeros times its power
+    of two, and the same gaps at the zeros' own scale, tiny or huge, except
+    where a gap is subnormal: there the bisection's terms overflow at both ends.
+    """
     while len(values) >= 2:
-        clusters = _cluster_reals(values)
-        yield from ((clusters, lo, hi) for (lo, _), (hi, _) in zip(clusters, clusters[1:]))
+        scaled, e = _cluster_reals(values)
+        unscaled = [(math.ldexp(v, e), m) for v, m in scaled]
+        for clusters in (scaled, unscaled) if e else (scaled,):
+            gaps = zip(clusters, clusters[1:])
+            yield from ((clusters, lo, hi) for (lo, _), (hi, _) in gaps if hi - lo >= sys.float_info.min)
         values = _real_critical_points(values)
 
 
@@ -464,6 +501,7 @@ def test_bisection_cases_reach_exact_zero_sums():
 @seed(20261018)
 @settings(max_examples=150, deadline=None)
 @given(values=_tower_values)
+@example(values=[1e-300, 1.0000000010000002e-300])  # a subnormal gap, searched scaled only
 def test_interval_zero_is_the_bisection_float_property(values):
     _assert_bisection_float(values)
 

@@ -154,6 +154,19 @@ def test_search_finds_index_bound_violations():
     assert report.counts["COUNTEREXAMPLE"] > 0
 
 
+@pytest.mark.parametrize("claim", ["BASIC_INEQUALITY", "DERIV_SUM_BOUND"])
+def test_search_counts_a_sample_with_an_overflowed_check_as_a_solver_failure(claim):
+    # the derivative sum and its bound both overflow to inf at degree 120 near 300:
+    # the margin inf - inf decides nothing, so the sample gets no verdict
+    config = SearchConfig(
+        claim_id=claim, degree_min=120, degree_max=120, samples=3, seed=1,
+        distribution="uniform:300,350",
+    )
+    assert run_search(config).counts == {
+        "HYPOTHESES_NOT_MET": 0, "CONFIRMED": 0, "COUNTEREXAMPLE": 0, "SOLVER_FAILURE": 3,
+    }
+
+
 def test_search_squeeze_finds_skewed_counterexamples():
     config = SearchConfig(
         claim_id=ClaimId.SQUEEZE,
