@@ -14,7 +14,9 @@ f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
   consecutive floats too (each term is a correctly rounded monotone
   function of x, and fsum rounds correctly), so bracketing Newton steps
   fix the sign that bisection to ulp resolution would see at each of its
-  midpoints, and the bisection is replayed from those signs.
+  midpoints.  Where the steps pin two adjacent floats inside an interval
+  of one sign in the normal range, the bisection would end there, and
+  their midpoint is returned; elsewhere it is replayed from those signs.
 * otherwise: Aberth sweeps on the secular form of the zeros, that is on
   Q(z) = f(z) prod (z - v_i) evaluated through f.  Iterates that close in
   on an m-fold critical point are finished together by Newton on the
@@ -63,6 +65,7 @@ SIMULTANEOUS = "simultaneous-iteration"
 
 _SWEEP_BUDGET = 200
 _NEWTON_BUDGET = 64  # bracketing steps per interval before the bisection replay
+_HALVING_FLOOR = 2.0**-1021  # halving a float at least this large in magnitude is exact
 _STEP_TOL = 1e-13
 _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros count as repeated
 
@@ -146,11 +149,27 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
     at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  A step
     that leaves the bracket, or has no usable slope, becomes its midpoint;
     a step too small to move x probes the next float toward the zero, and
-    each later such probe goes twice as far.  Then the bisection is
-    replayed: a midpoint at or below a is positive, one at or above b
-    negative, and f is evaluated only at a midpoint strictly inside
-    (a, b).  The bracket is left wider than adjacent floats only where f
-    is exactly 0 at a float, or the steps ran out.
+    each later such probe goes twice as far.
+
+    The steps usually end with a and b adjacent floats.  If lo and hi also
+    have one sign and min(|lo|, |hi|) >= 2**-1021, the bisection ends at
+    exactly (a, b), and 0.5*a + 0.5*b is returned without it.  Halving a
+    float there is exact, so each midpoint is the exact one, rounded; and
+    when some float lies strictly between two floats, their rounded
+    midpoint does too (were it rounded to an end, the other end would be
+    no farther than the next float).  So every midpoint falls at or below
+    a or at or above b, where its sign is known, and the bracket stops
+    shrinking only at (a, b).  The walk is short.  With n zeros counted
+    with multiplicity and m of them at lo, the zero x of f has
+    m / (x - lo) <= (n - m) / (hi - x), so it is at least (hi - lo) / n
+    from lo, and likewise from hi; |x| is no smaller, as (lo, hi) does not
+    hold 0.  So about 53 + log2(n) halvings reach one ulp of x, well
+    inside the 200-step cap.
+
+    Otherwise the bisection is replayed: a midpoint at or below a is
+    positive, one at or above b negative, and f is evaluated only at a
+    midpoint strictly inside (a, b).  That is needed where f is exactly 0
+    at a float, the steps ran out, or (lo, hi) holds 0 or subnormals.
     """
     a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
     d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
@@ -175,6 +194,8 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0
         x = x_new
+    if math.nextafter(a, b) == b and (lo >= _HALVING_FLOOR or hi <= -_HALVING_FLOOR):
+        return 0.5 * a + 0.5 * b
     for _ in range(200):
         mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:

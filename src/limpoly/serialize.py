@@ -16,7 +16,13 @@ from enum import Enum
 __all__ = ["canonical_dumps", "to_jsonable"]
 
 
+# exact types only: a str Enum such as ClaimId, or a numpy float, takes its own branch below
+_PLAIN = frozenset({float, int, bool, str, type(None)})
+
+
 def to_jsonable(obj):
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -29,7 +35,7 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (int, float, str)):  # subclasses, such as numpy.float64
         return obj
     if hasattr(obj, "item"):  # numpy scalars
         return to_jsonable(obj.item())

@@ -30,18 +30,18 @@ def exact_poly_from_roots(roots):
     return coeffs
 
 
-def bisection_interval_zero(clusters, lo, hi):
-    """The zero of sum m / (x - v) over (v, m) in clusters, in (lo, hi), by plain bisection.
+def bisection_on_sign(sign, lo, hi):
+    """The float where bisection of (lo, hi) on sign(x) stops.
 
-    Bisects on the sign of the fsum of the terms until the bracket cannot
-    shrink, or returns the first midpoint where the sum is exactly 0.
+    Bisects until the bracket cannot shrink, or returns the first midpoint
+    where sign(x) is exactly 0.
     """
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * a + 0.5 * b  # a + b may overflow near the top of double range
         if mid <= a or mid >= b:
             break
-        s = math.fsum(m / (mid - v) for v, m in clusters)
+        s = sign(mid)
         if s > 0.0:
             a = mid
         elif s < 0.0:
@@ -49,6 +49,14 @@ def bisection_interval_zero(clusters, lo, hi):
         else:
             return mid
     return 0.5 * a + 0.5 * b
+
+
+def bisection_interval_zero(clusters, lo, hi):
+    """The zero of sum m / (x - v) over (v, m) in clusters, in (lo, hi), by plain bisection.
+
+    Bisects on the sign of the fsum of the terms.
+    """
+    return bisection_on_sign(lambda x: math.fsum(m / (x - v) for v, m in clusters), lo, hi)
 
 
 def elementary_symmetric(values, order):

@@ -5,30 +5,15 @@ fire (workloads.EXPECTED_LAYERS); a library change that stops one of
 them from being called, or removes a binding the tracer wraps, makes
 the traced benchmark report it missing.  This runs round 0 of every
 workload under the tracer, with sweep shards cut to 20 samples, so such
-a change shows up here first.  The bench modules are only imported.
+a change shows up here first.  The bench modules are only imported;
+conftest.py loads them from bench/ as bench_workloads and bench_tracer.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
+import bench_tracer as tracer
+import bench_workloads as workloads
 import pytest
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("workloads")
-tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.EXPECTED_LAYERS))

@@ -17,6 +17,7 @@ from limpoly import (
     sendov_distances,
 )
 from limpoly.critical import (
+    _HALVING_FLOOR,
     _cluster_reals,
     _complex_critical_points,
     _interval_zero,
@@ -25,6 +26,7 @@ from limpoly.critical import (
 )
 from oracles import (
     bisection_interval_zero,
+    bisection_on_sign,
     certify_critical_points,
     complex_derivative_zeros,
     hull_distance,
@@ -534,4 +536,55 @@ def test_interval_zero_evaluates_the_sum_a_few_times(monkeypatch):
         calls.clear()
         _interval_zero(clusters, lo, hi)
         per_interval.append(len(calls))
-    assert statistics.mean(per_interval) <= 12
+    assert statistics.mean(per_interval) <= 7  # 6.31 measured
+
+
+# Newton's adjacent floats (a, b) end the bisection, and where they cannot, it is replayed
+
+
+@st.composite
+def _pinned_brackets(draw):
+    """(lo, a, b, hi): adjacent floats a < b inside a normal bracket of one sign."""
+    a = draw(
+        st.one_of(
+            st.floats(_HALVING_FLOOR, sys.float_info.max, exclude_max=True),
+            st.integers(-1020, 1023).map(lambda k: math.nextafter(2.0**k, 0.0)),  # a binade's last float
+        )
+    )
+    b = math.nextafter(a, math.inf)
+    lo = max(a * draw(st.floats(0.0, 1.0)), _HALVING_FLOOR)
+    hi = min(b * draw(st.floats(1.0, 2.0**80)), sys.float_info.max)  # one ulp within 200 halvings
+    if draw(st.booleans()):
+        lo, a, b, hi = -hi, -b, -a, -lo
+    return lo, a, b, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket=_pinned_brackets())
+@example(bracket=(0.5, math.nextafter(1.0, 0.0), 1.0, 2.0))
+@example(bracket=(1.7e308, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max, sys.float_info.max))
+@example(bracket=(-sys.float_info.max, -sys.float_info.max, math.nextafter(-sys.float_info.max, 0.0), -1.7e308))
+@example(bracket=(_HALVING_FLOOR, _HALVING_FLOOR, math.nextafter(_HALVING_FLOOR, 1.0), 2.0**-1000))
+@example(bracket=(-(2.0**-1000), math.nextafter(-(2.0**-1020), -1.0), -(2.0**-1020), -_HALVING_FLOOR))
+def test_bisection_ends_at_adjacent_floats(bracket):
+    # the lemma behind _interval_zero's return of 0.5*a + 0.5*b without the replay
+    lo, a, b, hi = bracket
+    assert bisection_on_sign(lambda x: 1.0 if x <= a else -1.0, lo, hi) == 0.5 * a + 0.5 * b
+
+
+@pytest.mark.parametrize(
+    "values, points",
+    [
+        ([-0.7, 1.9], ["0x1.3333333333333p-1"]),
+        ([-1e-300, 3e-300], ["0x1.56e1fc2f8f35ap-2"]),  # scaled by 2**995
+        ([-1.0, 1.0, 1e80], ["-0x1.0000000000000p-187"]),  # f is flat near 0: Newton's budget runs out
+        ([5e-308, 1e-307, 1.7e308], ["0x0.d7b9221309489p-1022", "0x1.42c8b75a4d24ep+1021"]),  # by 2**-2
+    ],
+)
+def test_interval_zero_replays_the_bisection_across_zero_or_from_subnormals(values, points):
+    clusters, _ = _cluster_reals(values)
+    gaps = [(lo, hi) for (lo, _), (hi, _) in zip(clusters, clusters[1:])]
+    gaps = [(lo, hi) for lo, hi in gaps if lo < _HALVING_FLOOR and hi > -_HALVING_FLOOR]
+    got = [_interval_zero(clusters, lo, hi) for lo, hi in gaps]
+    assert [x.hex() for x in got] == points
+    assert got == [bisection_interval_zero(clusters, lo, hi) for lo, hi in gaps]
