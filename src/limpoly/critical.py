@@ -133,6 +133,11 @@ def _log_derivative(clusters, x: float, scale: float = 1.0) -> tuple[float, floa
     return math.fsum(terms), slope
 
 
+def _zero_band(v: float) -> float:
+    """w > 0 with x - v == -v exactly whenever |x| < w."""
+    return math.ulp(v) / (4.0 if abs(math.frexp(v)[0]) == 0.5 else 2.0)
+
+
 def _interval_zero(clusters, lo: float, hi: float) -> float:
     """The single derivative zero in the open interval (lo, hi).
 
@@ -150,6 +155,14 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
     that leaves the bracket, or has no usable slope, becomes its midpoint;
     a step too small to move x probes the next float toward the zero, and
     each later such probe goes twice as far.
+
+    Across 0, the floats near 0 are finer than the sum can see: while |x|
+    is below a band set by the ulps of lo and hi, every x - v rounds to -v,
+    so the sum is f(0) on the whole band.  A sign seen in the band holds on
+    all of it, and a step into the band goes to one of its edges inside the
+    bracket, or probes from x if neither is.  Newton's zero of the exact f
+    can lie deep inside the band, where each step would move x by the same
+    tiny amount.
 
     The steps usually end with a and b adjacent floats.  If lo and hi also
     have one sign and min(|lo|, |hi|) >= 2**-1021, the bisection ends at
@@ -175,6 +188,7 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
     d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
     x = 0.5 * lo + 0.5 * hi  # lo + hi may overflow near the top of double range
     probe = 1.0  # ulps of x
+    band = min(_zero_band(lo), _zero_band(hi)) if lo < 0.0 < hi else 0.0
     for _ in range(_NEWTON_BUDGET):
         if not a < x < b:
             x = 0.5 * a + 0.5 * b
@@ -190,6 +204,13 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
         sd = s * d
         den = sd * (d / (x - lo) - d / (hi - x)) - slope  # F'(x) d^2 / ((x - lo)(hi - x))
         x_new = x - d * sd / den if -math.inf < den < 0.0 else math.nan  # nan: bisect
+        if x_new < band and -band < x_new:  # |x_new| < band, one test when band is 0
+            # f is f(0) there: try an edge of the band, else probe
+            if abs(x) < band:  # the sign at x holds all over the band
+                inner = math.nextafter(band, 0.0)
+                a, b = (inner, b) if s > 0.0 else (a, -inner)
+            edge = math.copysign(band, x_new)
+            x_new = edge if a < edge < b else -edge if a < -edge < b else x
         if x_new == x:  # probe toward the zero
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0

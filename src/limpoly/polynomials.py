@@ -10,6 +10,7 @@ whole module is safe to call concurrently.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -88,7 +89,7 @@ class RootMultiset:
         return iter(self.roots)
 
     def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(r) for r in self.roots)
+        return tuple(map(abs, self.roots))
 
     def is_real(self) -> bool:
         return all(r.imag == 0.0 for r in self.roots)
@@ -112,7 +113,8 @@ class RootMultiset:
 
     def min_modulus_index(self) -> int:
         """Index of the smallest-modulus root (ties: smallest index)."""
-        return min(range(len(self.roots)), key=lambda i: (abs(self.roots[i]), i))
+        moduli = self.moduli()
+        return moduli.index(min(moduli))
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ class MonicPolynomial:
     roots: RootMultiset | None = None
 
     def __post_init__(self) -> None:
-        coerced = tuple(complex(c) for c in self.coeffs)
+        coerced = tuple(map(complex, self.coeffs))
         if len(coerced) < 2:
             raise ValueError("degree must be at least 1")
         if coerced[-1] != 1:
@@ -155,7 +157,7 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
 
 
 def _derive(coeffs: Sequence[complex]) -> tuple[complex, ...]:
-    return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
+    return tuple(map(operator.mul, range(1, len(coeffs)), coeffs[1:]))
 
 
 def from_roots(roots: RootsLike) -> MonicPolynomial:

@@ -2,9 +2,13 @@
 
 Every sample owns its own counter-based random stream derived from
 (seed, sample index), so a sweep can be split into shards by sample
-range and merged back without changing a single draw.  Reports are
-canonically serializable: identical config and seed give byte-identical
-JSON (wall time is kept out of the canonical form).
+range and merged back without changing a single draw.  Sample i of a
+sweep with seed s draws from Generator(Philox(SeedSequence(entropy=s,
+spawn_key=(i,)))): Philox4x64-10 from counter 0, keyed by that
+SeedSequence's first two 64-bit output words.  A sweep computes the
+seed's share of that key once and reseeds one generator per sample.
+Reports are canonically serializable: identical config and seed give
+byte-identical JSON (wall time is kept out of the canonical form).
 """
 
 from __future__ import annotations
@@ -40,8 +44,17 @@ __all__ = [
 ]
 
 # Counter-based generator, identical draws for (seed, sample index) pairs
-# regardless of sharding; the identifier is embedded in every report.
+# regardless of sharding; the identifier is embedded in every report.  The
+# Philox key of sample i is SeedSequence(entropy=seed, spawn_key=(i,))
+# .generate_state(2, uint64), and its counter starts at 0.
 RNG_ALGORITHM = "numpy-philox4x64-10/seedsequence"
+
+# SeedSequence's constants (numpy.random.bit_generator): the hash of words
+# entering the pool, the hash of words leaving it, and the pool mixer.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # Samples with no verdict: the solver ran out of sweeps, or a checked value left double range.
 SOLVER_FAILURE = "SOLVER_FAILURE"
@@ -101,13 +114,13 @@ def generate_roots(distribution: str, n: int, rng: np.random.Generator) -> RootM
     kind, params = _parse_distribution(distribution)
     if kind == "uniform":
         lo, hi = params
-        return RootMultiset(rng.uniform(lo, hi, n))
+        return RootMultiset(rng.uniform(lo, hi, n).tolist())
     if kind == "log-uniform":
         lo, hi = params
-        return RootMultiset(np.exp(rng.uniform(math.log(lo), math.log(hi), n)))
+        return RootMultiset(np.exp(rng.uniform(math.log(lo), math.log(hi), n)).tolist())
     radius = params[0]
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = (radius * np.sqrt(rng.uniform(0.0, 1.0, n))).tolist()
+    theta = rng.uniform(0.0, 2.0 * math.pi, n).tolist()
     return RootMultiset(tuple(complex(a * math.cos(t), a * math.sin(t)) for a, t in zip(r, theta)))
 
 
@@ -194,10 +207,77 @@ def _instance_hash(roots: tuple[complex, ...]) -> str:
     return hashlib.sha256(canonical_dumps(list(roots)).encode("ascii")).hexdigest()
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+def _hashmix(value: int, h: int, mult: int) -> tuple[int, int]:
+    """SeedSequence's word hash: the hashed word and the next hash constant."""
+    value ^= h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+class _SampleStreams:
+    """One Philox generator, reseeded to the stream of any sample of one seed.
+
+    The stream of sample i is Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(i,)))), reproduced exactly.  That SeedSequence pads the
+    seed's 32-bit words with zeros to its pool of four, hashes them into
+    the pool, then mixes in the index's words: only that last part depends
+    on i, so the pool before it is computed once per seed.  The hash
+    constant runs on through a fixed number of steps, so it too is known
+    before the index is.
+    """
+
+    def __init__(self, seed: int) -> None:
+        h = _INIT_A
+        pool = []
+        for word in (seed & _MASK32, seed >> 32, 0, 0):  # seed < 2**64
+            v, h = _hashmix(word, h, _MULT_A)
+            pool.append(v)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    v, h = _hashmix(pool[src], h, _MULT_A)
+                    pool[dst] = _mix(pool[dst], v)
+        self._pool = tuple(pool)
+        self._hash = h
+        self._bitgen = np.random.Philox(0)  # reseeded before every draw
+        self._rng = np.random.Generator(self._bitgen)
+
+    def key(self, index: int) -> tuple[int, int]:
+        """The two Philox key words, generate_state(2, uint64), of sample index."""
+        pool, h = self._pool, self._hash
+        while True:  # the index's 32-bit words, lowest first; index 0 is one word
+            word = index & _MASK32
+            mixed = []
+            for x in pool:
+                v, h = _hashmix(word, h, _MULT_A)
+                mixed.append(_mix(x, v))
+            pool = mixed
+            index >>= 32
+            if not index:
+                break
+        out, h = [], _INIT_B
+        for v in pool:
+            v, h = _hashmix(v, h, _MULT_B)
+            out.append(v)
+        return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+    def at(self, index: int) -> np.random.Generator:
+        """The generator, set to the start of sample index's stream."""
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": self.key(index)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
 
 def _resolve_eps(policy: tuple[str, float], roots: RootMultiset, claim: ClaimId) -> float:
@@ -246,9 +326,10 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     histograms: dict[int, list[int]] = {}
     found: list[CounterexampleRecord] = []
     policy = _parse_policy(config.epsilon_policy)
+    streams = _SampleStreams(config.seed)
 
     for index in range(start, end):
-        rng = _sample_rng(config.seed, index)
+        rng = streams.at(index)
         degree = int(rng.integers(config.degree_min, config.degree_max + 1))
         roots = generate_roots(config.distribution, degree, rng)
         second = None

@@ -19,18 +19,20 @@ __all__ = ["canonical_dumps", "to_jsonable"]
 # exact types only: a str Enum such as ClaimId, or a numpy float, takes its own branch below
 _PLAIN = frozenset({float, int, bool, str, type(None)})
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
 
 def to_jsonable(obj):
     if type(obj) in _PLAIN:
         return obj
+    if isinstance(obj, complex):  # numpy.complex128 too
+        return [obj.real, obj.imag]
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -43,9 +45,4 @@ def to_jsonable(obj):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(
-        to_jsonable(obj),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return _ENCODER.encode(to_jsonable(obj))

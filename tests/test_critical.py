@@ -23,6 +23,7 @@ from limpoly.critical import (
     _interval_zero,
     _log_derivative,
     _real_critical_points,
+    _zero_band,
 )
 from oracles import (
     bisection_interval_zero,
@@ -577,7 +578,7 @@ def test_bisection_ends_at_adjacent_floats(bracket):
     [
         ([-0.7, 1.9], ["0x1.3333333333333p-1"]),
         ([-1e-300, 3e-300], ["0x1.56e1fc2f8f35ap-2"]),  # scaled by 2**995
-        ([-1.0, 1.0, 1e80], ["-0x1.0000000000000p-187"]),  # f is flat near 0: Newton's budget runs out
+        ([-1.0, 1.0, 1e80], ["-0x1.0000000000000p-187"]),  # f is flat near 0: at the band's edge
         ([5e-308, 1e-307, 1.7e308], ["0x0.d7b9221309489p-1022", "0x1.42c8b75a4d24ep+1021"]),  # by 2**-2
     ],
 )
@@ -588,3 +589,43 @@ def test_interval_zero_replays_the_bisection_across_zero_or_from_subnormals(valu
     got = [_interval_zero(clusters, lo, hi) for lo, hi in gaps]
     assert [x.hex() for x in got] == points
     assert got == [bisection_interval_zero(clusters, lo, hi) for lo, hi in gaps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False).filter(bool), fraction=st.floats(0.0, 1.0))
+@example(v=1.0, fraction=1.0)
+@example(v=-(2.0**-133), fraction=1.0)
+@example(v=3.0, fraction=1.0)
+@example(v=5e-324, fraction=1.0)
+def test_zero_band_leaves_every_zero_unchanged(v, fraction):
+    w = _zero_band(v)
+    x = math.nextafter(w, 0.0) * fraction
+    assert x - v == -v and -x - v == -v
+
+
+@pytest.mark.parametrize(
+    "values, points, most",
+    [
+        # the scaled gap is (-2**-133, 2**-133): f's exact zero is near -2**-400, the sum is flat to 2**-187
+        ([-1.0, 1.0, 1e80], ["-0x1.0000000000000p-54", "0x1.1fdf4e14b5240p+265"], 8),  # 6 measured
+        ([-1e-5, 1e-5, 1e100, 1e101], None, 16),  # 13 measured
+        ([-1.0, 1.0, 1e200], None, 8),  # 6 measured
+    ],
+)
+def test_interval_zero_steps_over_the_flat_band_about_zero(monkeypatch, values, points, most):
+    clusters, _ = _cluster_reals(values)
+    gaps = [(lo, hi) for (lo, _), (hi, _) in zip(clusters, clusters[1:])]
+    expected = [bisection_interval_zero(clusters, lo, hi) for lo, hi in gaps]
+    log_derivative = critical._log_derivative
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_derivative(*args)
+
+    monkeypatch.setattr(critical, "_log_derivative", counted)
+    got = _real_critical_points(values)
+    assert len(calls) <= most
+    assert [_interval_zero(clusters, lo, hi) for lo, hi in gaps] == expected
+    if points is not None:
+        assert [x.hex() for x in got] == points

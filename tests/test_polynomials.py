@@ -118,6 +118,13 @@ def test_root_multiset_validation():
         RootMultiset([1, -2]).positive_reals()
 
 
+def test_min_modulus_index_takes_the_first_of_equal_moduli():
+    assert RootMultiset([2, -1, 1j, 1]).min_modulus_index() == 1
+    assert RootMultiset([3, 1j, -1j, 1]).min_modulus_index() == 1
+    assert RootMultiset([0.5, 2, -0.5]).min_modulus_index() == 0
+    assert RootMultiset([4, 3 + 4j, 5, -4j]).min_modulus_index() == 0
+
+
 def test_root_multiset_adopts_a_validated_multiset():
     rs = RootMultiset([1, 2 + 1j])
     assert RootMultiset(rs).roots is rs.roots

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from limpoly import (
@@ -24,6 +27,8 @@ from limpoly import (
     run_search,
     write_counterexample_log,
 )
+from limpoly import search
+from limpoly.search import _SampleStreams
 
 
 def _rng(seed=0):
@@ -136,6 +141,78 @@ INDEX_CFG = SearchConfig(
     seed=42,
     distribution="uniform:0.05,0.5",
 )
+
+
+def _numpy_stream(seed, index):
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    )
+
+
+def _numpy_key(seed, index):
+    state = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)
+    return tuple(int(w) for w in state)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_sample_stream_keys_are_seedsequence_keys(seed):
+    draws = random.Random(seed)
+    indices = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64]
+    indices += [draws.getrandbits(bits) for bits in (8, 31, 32, 33, 63, 64) for _ in range(3)]
+    streams = _SampleStreams(seed)
+    for index in indices:
+        assert streams.key(index) == _numpy_key(seed, index), index
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**70))
+def test_sample_stream_keys_are_seedsequence_keys_property(seed, index):
+    assert _SampleStreams(seed).key(index) == _numpy_key(seed, index)
+
+
+def _draws(rng):
+    # 32-bit draws split 64-bit words: an odd count leaves half a word buffered, which a reseed drops
+    return [
+        rng.random(3, dtype=np.float32).tolist(),
+        rng.integers(2, 9),
+        rng.uniform(0.5, 2.0, 7).tolist(),
+        rng.random(3).tolist(),
+        rng.random(),
+        rng.integers(0, 2**40, 4).tolist(),
+        rng.integers(0, 10, 3, dtype=np.int32).tolist(),
+    ]
+
+
+def test_reseeded_generator_draws_the_numpy_streams():
+    streams = _SampleStreams(2**64 - 1)
+    for index in (3, 2**32 - 1, 2**32, 2**40 + 7, 5):
+        assert _draws(streams.at(index)) == _draws(_numpy_stream(2**64 - 1, index)), index
+
+
+@pytest.mark.parametrize(
+    "claim, dist", [("basic_inequality", "log-uniform:0.001,1000"), ("product_prop", "complex-disk:2")]
+)
+def test_search_shards_past_2_to_32_draw_the_numpy_zeros(monkeypatch, claim, dist):
+    seen = []
+    run_claim = search.run_claim
+
+    def recording(claim_id, roots, **kwargs):
+        seen.append((roots.roots, kwargs["second_roots"]))
+        return run_claim(claim_id, roots, **kwargs)
+
+    monkeypatch.setattr(search, "run_claim", recording)
+    config = SearchConfig(claim, 2, 8, 2**41, 2**64 - 1, dist)
+    starts = (2**32 - 2, 2**40 + 7)
+    for start in starts:
+        run_search(config, start=start, count=4)
+    expected = []
+    for index in (i for start in starts for i in range(start, start + 4)):
+        rng = _numpy_stream(config.seed, index)
+        degree = int(rng.integers(2, 9))
+        first = generate_roots(dist, degree, rng)
+        second = generate_roots(dist, degree, rng) if claim == "product_prop" else None
+        expected.append((first.roots, second))
+    assert seen == expected
 
 
 def test_search_deterministic():
