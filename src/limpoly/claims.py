@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .critical import _real_critical_points, critical_points
 from .critical import higher_derivative_zeros  # noqa: F401  bench/selftest.py reads it here
 from .expansion import index_bound_check, local_expansion_min
-from .measure import _require_positive_finite, _rest_measure, check_product_proposition
+from .measure import _require_nonnegative_finite, _require_positive_finite
+from .measure import _rest_measure, check_product_proposition
 from .polynomials import (
     RootMultiset,
     RootsLike,
@@ -122,6 +123,7 @@ def check_real_case(roots: RootsLike, index_band: float = 1e-9) -> ClaimVerdict:
     zero.  The exact index pattern is measure-zero under sampling, so
     index_band is exposed for relaxed sweeps.
     """
+    _require_nonnegative_finite("index_band", index_band)
     rs, values, j, rest_product = _positive_real_setup(roots)
     h_limited = hypothesis_check("quotient-one-limited", rest_product, 1.0)
 

@@ -15,8 +15,8 @@ f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
   function of x, and fsum rounds correctly), so bracketing Newton steps
   fix the sign that bisection to ulp resolution would see at each of its
   midpoints.  Where the steps pin two adjacent floats inside an interval
-  of one sign in the normal range, the bisection would end there, and
-  their midpoint is returned; elsewhere it is replayed from those signs.
+  of one sign, the bisection would end there, and their midpoint is
+  returned; elsewhere it is replayed from those signs.
 * otherwise: Aberth sweeps on the secular form of the zeros, that is on
   Q(z) = f(z) prod (z - v_i) evaluated through f.  Iterates that close in
   on an m-fold critical point are finished together by Newton on the
@@ -65,7 +65,6 @@ SIMULTANEOUS = "simultaneous-iteration"
 
 _SWEEP_BUDGET = 200
 _NEWTON_BUDGET = 64  # bracketing steps per interval before the bisection replay
-_HALVING_FLOOR = 2.0**-1021  # halving a float at least this large in magnitude is exact
 _STEP_TOL = 1e-13
 _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros count as repeated
 
@@ -150,45 +149,55 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
     terms correctly.  So a sign seen at one float holds at every float
     beyond it.
 
-    First, Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
+    Across 0, the floats near 0 are finer than the sum can see: while |x|
+    is below a band set by the ulps of lo and hi, every x - v rounds to -v,
+    so the sum is f(0) on the whole band.  Its sign is read once, at 0,
+    before any step: a positive one moves a up to the band's largest
+    float, a negative one b down to its smallest.  No step can then land
+    in the band, where Newton's zero of the exact f can lie and each step
+    would move x by the same tiny amount.
+
+    Then Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
     at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  A step
     that leaves the bracket, or has no usable slope, becomes its midpoint;
     a step too small to move x probes the next float toward the zero, and
     each later such probe goes twice as far.
 
-    Across 0, the floats near 0 are finer than the sum can see: while |x|
-    is below a band set by the ulps of lo and hi, every x - v rounds to -v,
-    so the sum is f(0) on the whole band.  A sign seen in the band holds on
-    all of it, and a step into the band goes to one of its edges inside the
-    bracket, or probes from x if neither is.  Newton's zero of the exact f
-    can lie deep inside the band, where each step would move x by the same
-    tiny amount.
-
     The steps usually end with a and b adjacent floats.  If lo and hi also
-    have one sign and min(|lo|, |hi|) >= 2**-1021, the bisection ends at
-    exactly (a, b), and 0.5*a + 0.5*b is returned without it.  Halving a
-    float there is exact, so each midpoint is the exact one, rounded; and
-    when some float lies strictly between two floats, their rounded
-    midpoint does too (were it rounded to an end, the other end would be
-    no farther than the next float).  So every midpoint falls at or below
-    a or at or above b, where its sign is known, and the bracket stops
-    shrinking only at (a, b).  The walk is short.  With n zeros counted
-    with multiplicity and m of them at lo, the zero x of f has
+    have one sign, the bisection ends at exactly (a, b), and 0.5*a + 0.5*b
+    is returned without it.  That midpoint, mid(x, y), is non-decreasing
+    in x and in y and takes three consecutive floats x < x' < x'' of one
+    sign to x'.  Where halving is exact, the exact midpoint, in [x', x'')
+    and nearer to x', rounds to x'.  Below 2**-1021 every float is a
+    multiple of u = 2**-1074 and halves round ties-to-even: p u and
+    (p + 2) u give (p + 1) u, one half rounding up where the other rounds
+    down, and 2**-1021 - u and 2**-1021 + 2u give 2**-1021 + u, a tie that
+    rounds to the even 2**-1021.  So mid(x, y), lying between mid(x, x'')
+    and mid(y'', y) for y'' two floats below y, is strictly inside (x, y)
+    whenever a float is.  Every midpoint then falls at or below a or at or
+    above b, where its sign is known, and the bracket stops shrinking only
+    at (a, b).  The walk is short.  With n zeros counted with
+    multiplicity and m of them at lo, the zero x of f has
     m / (x - lo) <= (n - m) / (hi - x), so it is at least (hi - lo) / n
     from lo, and likewise from hi; |x| is no smaller, as (lo, hi) does not
-    hold 0.  So about 53 + log2(n) halvings reach one ulp of x, well
-    inside the 200-step cap.
+    hold 0.  As ulp(x) >= |x| 2**-53 for every float, subnormal or not,
+    about 53 + log2(n) halvings reach one ulp of x, well inside the
+    200-step cap.
 
     Otherwise the bisection is replayed: a midpoint at or below a is
     positive, one at or above b negative, and f is evaluated only at a
     midpoint strictly inside (a, b).  That is needed where f is exactly 0
-    at a float, the steps ran out, or (lo, hi) holds 0 or subnormals.
+    at a float, the steps ran out, or (lo, hi) holds 0.
     """
     a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
+    if lo < 0.0 < hi:  # inner: the band's largest float
+        inner = math.nextafter(min(_zero_band(lo), _zero_band(hi)), 0.0)
+        s = _log_derivative(clusters, 0.0)[0]
+        if s:
+            a, b = (inner, b) if s > 0.0 else (a, -inner)
     d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
     x = 0.5 * lo + 0.5 * hi  # lo + hi may overflow near the top of double range
     probe = 1.0  # ulps of x
-    band = min(_zero_band(lo), _zero_band(hi)) if lo < 0.0 < hi else 0.0
     for _ in range(_NEWTON_BUDGET):
         if not a < x < b:
             x = 0.5 * a + 0.5 * b
@@ -204,18 +213,11 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
         sd = s * d
         den = sd * (d / (x - lo) - d / (hi - x)) - slope  # F'(x) d^2 / ((x - lo)(hi - x))
         x_new = x - d * sd / den if -math.inf < den < 0.0 else math.nan  # nan: bisect
-        if x_new < band and -band < x_new:  # |x_new| < band, one test when band is 0
-            # f is f(0) there: try an edge of the band, else probe
-            if abs(x) < band:  # the sign at x holds all over the band
-                inner = math.nextafter(band, 0.0)
-                a, b = (inner, b) if s > 0.0 else (a, -inner)
-            edge = math.copysign(band, x_new)
-            x_new = edge if a < edge < b else -edge if a < -edge < b else x
         if x_new == x:  # probe toward the zero
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0
         x = x_new
-    if math.nextafter(a, b) == b and (lo >= _HALVING_FLOOR or hi <= -_HALVING_FLOOR):
+    if math.nextafter(a, b) == b and not lo < 0.0 < hi:
         return 0.5 * a + 0.5 * b
     for _ in range(200):
         mid = 0.5 * lo + 0.5 * hi

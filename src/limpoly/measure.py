@@ -55,6 +55,11 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_nonnegative_finite(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def _rest_measure(values, j: int) -> float:
     """Measure of every zero but #j; 1.0 when none is left."""
     rest = [v for i, v in enumerate(values) if i != j]

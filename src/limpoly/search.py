@@ -24,7 +24,7 @@ import numpy as np
 
 from .claims import _STIRLING_N_MAX, run_claim
 from .critical import ConvergenceError, CriticalSet, critical_points, sendov_distances
-from .measure import _require_positive_finite, _rest_measure, measure
+from .measure import _require_nonnegative_finite, _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
 from .serialize import canonical_dumps, to_jsonable
 from .verdicts import ClaimId, ClaimVerdict, Classification
@@ -133,7 +133,7 @@ class SearchConfig:
     seed: int
     distribution: str
     epsilon_policy: str = "measure-times:1.01"
-    delta: float = 1.0  # distance bound for SQUEEZE, second eps for PRODUCT_PROP
+    delta: float = 1.0  # distance bound for SQUEEZE; PRODUCT_PROP takes both eps from the policy
     index_band: float = 1e-9  # relaxed band for the REAL_CASE index hypothesis
     counterexample_cap: int = 100
 
@@ -151,6 +151,7 @@ class SearchConfig:
         if self.counterexample_cap < 0:
             raise ValueError("counterexample_cap must be nonnegative")
         _require_positive_finite("delta", self.delta)
+        _require_nonnegative_finite("index_band", self.index_band)
         if (
             self.claim_id in (ClaimId.BASIC_INEQUALITY, ClaimId.DERIV_SUM_BOUND)
             and self.degree_max > _STIRLING_N_MAX
@@ -227,24 +228,14 @@ class _SampleStreams:
     spawn_key=(i,)))), reproduced exactly.  That SeedSequence pads the
     seed's 32-bit words with zeros to its pool of four, hashes them into
     the pool, then mixes in the index's words: only that last part depends
-    on i, so the pool before it is computed once per seed.  The hash
-    constant runs on through a fixed number of steps, so it too is known
-    before the index is.
+    on i.  SeedSequence(seed) without a spawn key pads and hashes the same
+    four words, so its pool is the one to start from.  The hash constant
+    has then run through 16 steps, so it too is known before the index is.
     """
 
     def __init__(self, seed: int) -> None:
-        h = _INIT_A
-        pool = []
-        for word in (seed & _MASK32, seed >> 32, 0, 0):  # seed < 2**64
-            v, h = _hashmix(word, h, _MULT_A)
-            pool.append(v)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    v, h = _hashmix(pool[src], h, _MULT_A)
-                    pool[dst] = _mix(pool[dst], v)
-        self._pool = tuple(pool)
-        self._hash = h
+        self._pool = tuple(np.random.SeedSequence(seed).pool.tolist())
+        self._hash = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
         self._bitgen = np.random.Philox(0)  # reseeded before every draw
         self._rng = np.random.Generator(self._bitgen)
 
@@ -318,8 +309,8 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     if not 0 <= start <= config.samples:
         raise ValueError("shard start out of range")
     end = config.samples if count is None else start + count
-    if end > config.samples:
-        raise ValueError("shard extends past the configured sample count")
+    if not start <= end <= config.samples:
+        raise ValueError("shard count must be nonnegative and end within the configured samples")
 
     began = time.perf_counter()
     counts = _empty_counts()
@@ -467,8 +458,7 @@ def complex_pullback_check(
     crit is the critical set of the zeros themselves, as for
     sendov_distances: a caller that reports it has solved it already.
     """
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
+    _require_nonnegative_finite("slack", slack)
     rs = RootMultiset(complex_roots)
     if rs.n < 2:
         raise ValueError("needs at least two roots")

@@ -89,6 +89,9 @@ def test_real_case_rejects_bad_inputs():
         check_real_case([0.5])  # n >= 2 required
     with pytest.raises(ValueError):
         check_real_case([1, -1])
+    for band in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="index_band must be nonnegative and finite"):
+            check_real_case([1, 2, 3], index_band=band)
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,22 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
           "--json"], "double range"),
         (["verify", "--claim", "product_prop", "--roots", "1", "--roots2", "1", "--eps", "1e200",
           "--delta", "1e200", "--json"], "double range"),
+        (["analyze", "--roots=1+1i,2", "--slack", "nan"], "nonnegative and finite"),
+        (["analyze", "--roots=1+1i,2", "--slack", "nan", "--json"], "nonnegative and finite"),
+        (["analyze", "--roots=1+1i,2", "--slack", "inf", "--json"], "nonnegative and finite"),
+        (["verify", "--claim", "real_case", "--roots", "1,2,3", "--index-band", "nan"],
+         "nonnegative and finite"),
+        (["verify", "--claim", "real_case", "--roots", "1,2,3", "--index-band", "-1"],
+         "nonnegative and finite"),
+        (["search", "--claim", "real_case", "--degree", "3", "--samples", "50",
+          "--index-band", "nan"], "nonnegative and finite"),
     ],
     ids=[
         "infinite-root", "infinite-eps", "measure-overflow", "search-range",
         "index-bound-overflow", "expand-overflow", "expand-shift-overflow", "expand-nan-center",
         "bound-overflow", "bound-overflow-json", "product-bound-overflow-json",
+        "nan-slack", "nan-slack-json", "infinite-slack-json", "nan-index-band",
+        "negative-index-band", "search-nan-index-band",
     ],
 )
 def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word):

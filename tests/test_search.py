@@ -114,7 +114,14 @@ def test_config_validation():
         SearchConfig(**{**good, "claim_id": claim, "degree_max": 120})
         with pytest.raises(ValueError, match="degree_max"):
             SearchConfig(**{**good, "claim_id": claim, "degree_max": 121})
-    for bad in ({"epsilon_policy": "fixed:inf"}, {"delta": math.inf}):
+    # index_band nan made every real_case sample a SOLVER_FAILURE, -1 every one HYPOTHESES_NOT_MET
+    for bad in (
+        {"epsilon_policy": "fixed:inf"},
+        {"delta": math.inf},
+        {"index_band": math.nan},
+        {"index_band": math.inf},
+        {"index_band": -1.0},
+    ):
         with pytest.raises(ValueError, match="finite"):
             SearchConfig(**{**good, **bad})
     # measures of these samples overflow, or underflow to zero
@@ -374,6 +381,8 @@ def test_shard_range_validation():
         run_search(INDEX_CFG, start=0, count=500)
     with pytest.raises(ValueError):
         run_search(INDEX_CFG, start=-1)
+    with pytest.raises(ValueError, match="count"):
+        run_search(INDEX_CFG, 0, -5)  # was an empty report
     with pytest.raises(ValueError):
         merge_reports([])
 
@@ -436,8 +445,9 @@ def test_pullback_rejects_singletons_and_bad_slack():
     # the critical sets are well formed, so only the pullback's own checks can fire
     with pytest.raises(ValueError, match="at least two roots"):
         complex_pullback_check([1 + 1j], CriticalSet((), (), "none"))
-    with pytest.raises(ValueError, match="nonnegative"):
-        _pullback([1 + 1j, 2], slack=-0.1)
+    for slack in (-0.1, math.nan, math.inf):  # nan read "within 1 + slack: False" at distance 0.707
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            _pullback([1 + 1j, 2], slack=slack)
 
 
 def test_pullback_rejects_a_critical_set_of_the_wrong_length():
