@@ -20,7 +20,12 @@ from .expansion import (
     local_expansion_max_plus,
     local_expansion_min,
 )
-from .measure import is_epsilon_limited, measure
+from .measure import (
+    _require_nonnegative_finite,
+    _require_positive_finite,
+    is_epsilon_limited,
+    measure,
+)
 from .polynomials import (
     DEFAULT_TOL,
     RootMultiset,
@@ -473,10 +478,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _PARSER = _build_parser()
 
+# Every bound flag with the rule its value must meet, checked before any command runs:
+# a command that does not use a flag still echoes it in its --json inputs.
+_BOUND_RULES = (
+    ("eps", _require_positive_finite),
+    ("delta", _require_positive_finite),
+    ("index_band", _require_nonnegative_finite),
+    ("slack", _require_nonnegative_finite),
+)
+
+
+def _check_bounds(args) -> None:
+    for name, rule in _BOUND_RULES:
+        value = getattr(args, name, None)
+        if value is not None:
+            rule(f"--{name.replace('_', '-')}", value)
+
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(_attach_root_values(sys.argv[1:] if argv is None else argv))
     try:
+        _check_bounds(args)
         return args.handler(args)
     except (ValueError, OverflowError) as exc:  # UsageError and RootDomainError included
         print(f"limpoly {args.command}: error: {exc}", file=sys.stderr)

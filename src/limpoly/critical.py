@@ -5,12 +5,19 @@ carry them (build it with from_roots); coefficients feed only the
 reported residuals.  Coincident zeros are grouped by a gap relative to
 their size, and a zero of multiplicity m is its own critical point m - 1
 times.  The others are the zeros of the logarithmic derivative sum
-f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
+f(z) = sum m_i / (z - v_i) over the k distinct zeros v_i.
 
-* all zeros real: f is strictly decreasing between neighbouring distinct
-  zeros, so its sign brackets the one critical point in each open
-  interval.  The search is Newton-accelerated and returns the
-  bisection's float: its computed value is non-increasing over
+Those k - 1 zeros are exactly the eigenvalues of diag(v) compressed onto
+the complement of the weight vector (sqrt(m_i)) (R. Pereira, J. Math.
+Anal. Appl. 2003; S. M. Malamud, Trans. AMS 2005).  Each solve starts
+from one LAPACK eigen-solve of that (k - 1)-square matrix, and the two
+code paths only polish its eigenvalues:
+
+* all zeros real: the matrix is symmetric, and its i-th eigenvalue lies
+  in the i-th gap between neighbouring zeros, where f is strictly
+  decreasing and its sign brackets the one critical point.  The search
+  from that start is Newton-accelerated and returns the bisection's
+  float, whatever the start: its computed value is non-increasing over
   consecutive floats too (each term is a correctly rounded monotone
   function of x, and fsum rounds correctly), so bracketing Newton steps
   fix the sign that bisection to ulp resolution would see at each of its
@@ -18,9 +25,11 @@ f(z) = sum m_i / (z - v_i) over the distinct zeros v_i.  Two code paths:
   of one sign, the bisection would end there, and their midpoint is
   returned; elsewhere it is replayed from those signs.
 * otherwise: Aberth sweeps on the secular form of the zeros, that is on
-  Q(z) = f(z) prod (z - v_i) evaluated through f.  Iterates that close in
-  on an m-fold critical point are finished together by Newton on the
-  m-th derivative, which has a simple zero there.
+  Q(z) = f(z) prod (z - v_i) evaluated through f, from the eigenvalues
+  rounded to a grid, so the eigen-solve's last bits never reach the
+  points.  Iterates that close in on an m-fold critical point are
+  finished together by Newton on the m-th derivative, which has a simple
+  zero there.
 
 Each solve multiplies its zeros by one power of two before grouping
 them, which is exact in the normal range, and maps the points back.
@@ -40,6 +49,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .polynomials import (
     MonicPolynomial,
@@ -70,7 +81,10 @@ _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros coun
 
 
 class ConvergenceError(RuntimeError):
-    """The iteration budget ran out; carries the best iterates seen."""
+    """The iteration budget ran out, or the eigen-solve for the starts failed.
+
+    Carries the best iterates seen, none where there were no starts.
+    """
 
     def __init__(self, message: str, iterates: tuple[complex, ...], residuals: tuple[float, ...]):
         super().__init__(message)
@@ -100,6 +114,37 @@ def _scaled_residual(coeffs, z: complex) -> float:
 
 def _coincident(u, w) -> bool:
     return abs(u - w) <= _CLUSTER_GAP * max(abs(u), abs(w))
+
+
+def _compressed_zeros(clusters, eig) -> list:
+    """The zeros of f(z) = sum m / (z - v) over the clusters (v, m), by one eigen-solve.
+
+    They are the eigenvalues of diag(v) compressed onto the complement of
+    the unit vector w = (sqrt(m / n)): the Householder reflection
+    H = I - u u^T / (1 + w_0), u = w + e_0, takes w to -e_0, so the lower
+    right (k - 1)-square block of H diag(v) H is that compression.  Row
+    i >= 1 of H is e_i - w_i p, with p = u / (1 + w_0), so over i, j >= 1
+    the block is diag(v_i) + w_i (c w_j - a_j) - a_i w_j, with a_i = v_i p_i
+    and c = sum v p^2: no matrix product is needed.  eig is
+    np.linalg.eigvalsh for real v, whose block is symmetric and whose
+    ascending eigenvalues then fall one in each gap between neighbouring
+    v, or np.linalg.eigvals for complex v.  The v are first divided by
+    the power of two that brings their largest component below 1, so no
+    entry overflows.  A LAPACK failure raises ConvergenceError.
+    """
+    v = np.array([c for c, _ in clusters])
+    scale = 2.0 ** -math.frexp(np.abs(v.view(float)).max())[1]  # components: a modulus can overflow
+    v *= scale
+    w = np.sqrt(np.array([m for _, m in clusters]) / sum(m for _, m in clusters))
+    p = w[1:] / (1.0 + w[0])
+    a = v[1:] * p
+    c = v[0] + (a * p).sum()
+    w = w[1:]
+    try:
+        zeros = eig(np.diag(v[1:]) + w[:, None] * (c * w - a) - a[:, None] * w)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"no eigenvalue start: {exc}", (), ()) from None
+    return (zeros / scale).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +182,19 @@ def _zero_band(v: float) -> float:
     return math.ulp(v) / (4.0 if abs(math.frexp(v)[0]) == 0.5 else 2.0)
 
 
-def _interval_zero(clusters, lo: float, hi: float) -> float:
+def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
     """The single derivative zero in the open interval (lo, hi).
 
-    Newton-accelerated, returns the bisection's float: the float that
-    bisection of (lo, hi) on the sign of f returns when run until the
-    bracket cannot shrink.  f is strictly decreasing on (lo, hi), positive
-    near lo and negative near hi, and its computed value is non-increasing
-    over consecutive floats there: each term m / (x - v) is a correctly
-    rounded, monotone function of x, and fsum rounds the exact sum of the
-    terms correctly.  So a sign seen at one float holds at every float
-    beyond it.
+    Newton-accelerated from start, returns the bisection's float: the
+    float that bisection of (lo, hi) on the sign of f returns when run
+    until the bracket cannot shrink.  f is strictly decreasing on
+    (lo, hi), positive near lo and negative near hi, and its computed
+    value is non-increasing over consecutive floats there: each term
+    m / (x - v) is a correctly rounded, monotone function of x, and fsum
+    rounds the exact sum of the terms correctly.  So a sign seen at one
+    float holds at every float beyond it, and the result depends only on
+    those signs, not on the start or the steps that visit them.  A start
+    that is not a float inside (lo, hi) becomes the midpoint.
 
     Across 0, the floats near 0 are finer than the sum can see: while |x|
     is below a band set by the ulps of lo and hi, every x - v rounds to -v,
@@ -158,7 +205,8 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
     would move x by the same tiny amount.
 
     Then Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
-    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  A step
+    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  From an
+    eigenvalue start they usually end after about three sums.  A step
     that leaves the bracket, or has no usable slope, becomes its midpoint;
     a step too small to move x probes the next float toward the zero, and
     each later such probe goes twice as far.
@@ -196,7 +244,7 @@ def _interval_zero(clusters, lo: float, hi: float) -> float:
         if s:
             a, b = (inner, b) if s > 0.0 else (a, -inner)
     d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
-    x = 0.5 * lo + 0.5 * hi  # lo + hi may overflow near the top of double range
+    x = start if lo < start < hi else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     probe = 1.0  # ulps of x
     for _ in range(_NEWTON_BUDGET):
         if not a < x < b:
@@ -239,8 +287,9 @@ def _real_critical_points(values) -> list[float]:
     points: list[float] = []
     for rep, mult in clusters:
         points.extend([rep] * (mult - 1))
-    for (lo, _), (hi, _) in zip(clusters, clusters[1:]):
-        points.append(_interval_zero(clusters, lo, hi))
+    starts = _compressed_zeros(clusters, np.linalg.eigvalsh)
+    for (lo, _), (hi, _), start in zip(clusters, clusters[1:], starts):
+        points.append(_interval_zero(clusters, lo, hi, start))
     points.sort()
     return [math.ldexp(p, e) for p in points]
 
@@ -249,13 +298,38 @@ def _real_critical_points(values) -> list[float]:
 # complex path: Aberth sweeps on the secular form of the zeros
 
 
-def _groups(items, near) -> list[list]:
-    """Items grouped by chains of near pairs."""
-    groups: list[list] = []
-    for x in items:
-        joined = [g for g in groups if any(near(x, y) for y in g)]
-        groups = [g for g in groups if all(g is not h for h in joined)]
-        groups.append([x] + [y for g in joined for y in g])
+def _groups(points, reach, near) -> list[list[int]]:
+    """Indices of the complex points grouped by chains of near pairs.
+
+    near(i, j) must imply |Re p_i - Re p_j| <= reach[i] + reach[j], so only
+    the points within reach[i] + max(reach) of p_i in real part are tested,
+    found by a walk out from it in the order of real parts.  Point i joins
+    the groups of the earlier points near it, in index order: they merge
+    into one group, moved last, that lists i and then their members in
+    the groups' order, as a scan of every pair would.
+    """
+    re = [p.real for p in points]
+    order = sorted(range(len(points)), key=re.__getitem__)
+    rank = {i: k for k, i in enumerate(order)}
+    widest = max(reach, default=0.0)
+    owner: dict[int, list[int]] = {}
+    groups: list[list[int]] = []
+    for i in range(len(points)):
+        bound = reach[i] + widest
+        hits = set()  # ids of the groups of earlier points near i
+        for step in (-1, 1):
+            k = rank[i] + step
+            while 0 <= k < len(order) and abs(re[order[k]] - re[i]) <= bound:
+                j = order[k]
+                if j < i and near(i, j):
+                    hits.add(id(owner[j]))
+                k += step
+        group = [i]
+        if hits:
+            group += [j for g in groups if id(g) in hits for j in g]
+            groups = [g for g in groups if id(g) not in hits]
+        groups.append(group)
+        owner.update((j, group) for j in group)
     return groups
 
 
@@ -309,8 +383,11 @@ def _multiple_zero(clusters, b: complex, m: int, scale: float, floor: float) -> 
 def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[complex]:
     """Sorted zeros of the derivative of prod(z - v) for complex values v.
 
-    Gauss-Seidel Aberth sweeps on the zeros of Q, from a circle about the
-    weighted centroid with half the zeros' spread as radius.  An iterate
+    Gauss-Seidel Aberth sweeps on the zeros of Q, from the eigenvalues of
+    the compressed zero matrix, each rounded to a multiple of 2**-32 in
+    the scaled plane: a start so near its zero usually converges in two
+    sweeps, and LAPACK's last bits, which differ between BLAS builds,
+    change a start only where they straddle a grid midpoint.  An iterate
     is done when f is at its roundoff floor or its step is below
     _STEP_TOL of max(|z|, spread).  Iterates whose inclusion discs
     (radius deg Q * |Q/Q'|) overlap close in on one m-fold critical
@@ -320,7 +397,8 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     # components, not abs(): the modulus of a zero near the top of double range overflows
     e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in values))[1]
     scaled = [_ldexp(v, -e) for v in values]
-    groups = _groups(range(len(values)), lambda i, j: _coincident(scaled[i], scaled[j]))
+    reach = [_CLUSTER_GAP * abs(u) for u in scaled]
+    groups = _groups(scaled, reach, lambda i, j: _coincident(scaled[i], scaled[j]))
     clusters = [(sum(scaled[i] for i in g) / len(g), len(g)) for g in groups]
     # a repeated zero's point: its unscaled mean, or the scaled one mapped back where the sum overflows
     means = [sum(values[i] for i in g) / len(g) for g in groups]
@@ -330,8 +408,8 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     center = sum(m * v for v, m in clusters) / n
     spread = max(abs(v - center) for v, _ in clusters)
     floor = 4 * n * sys.float_info.epsilon
-    # the 0.4 offset keeps the start off the symmetry axes of the zeros
-    z = [center + 0.5 * spread * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+    z = [complex(round(b.real * 2**32), round(b.imag * 2**32)) / 2**32
+         for b in _compressed_zeros(clusters, np.linalg.eigvals)]
     done = [False] * d
     for _ in range(budget):
         if all(done):
@@ -360,7 +438,7 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
         f, g, h, _ = _secular(clusters, zi)
         den = abs(f * h - g)
         radii.append(d * abs(f) / den if den else math.inf)
-    for group in _groups(range(d), lambda i, j: abs(z[i] - z[j]) <= radii[i] + radii[j]):
+    for group in _groups(z, radii, lambda i, j: abs(z[i] - z[j]) <= radii[i] + radii[j]):
         if len(group) > 1:
             mean = sum(z[i] for i in group) / len(group)
             b = _multiple_zero(clusters, mean, len(group), spread, floor)

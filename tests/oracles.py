@@ -6,7 +6,9 @@ the textbook recurrence, hull containment is a from-scratch
 monotone-chain construction, and real derivative zeros are bisected at
 60 digits with mpmath.  bisection_interval_zero is the double-precision
 bisection that the real critical-point path once ran, kept as the
-reference for the float that path must still return.
+reference for the float that path must still return, and scan_groups is
+the all-pairs grouping that the complex path once ran, kept as the
+reference for the groups it must still form.
 """
 
 from __future__ import annotations
@@ -57,6 +59,21 @@ def bisection_interval_zero(clusters, lo, hi):
     Bisects on the sign of the fsum of the terms.
     """
     return bisection_on_sign(lambda x: math.fsum(m / (x - v) for v, m in clusters), lo, hi)
+
+
+def scan_groups(items, near):
+    """Items grouped by chains of near pairs, by a scan of every pair.
+
+    Each item, in order, merges the groups holding an item near it into
+    one group, put last, that lists the item first and then their members
+    in the groups' order.
+    """
+    groups = []
+    for x in items:
+        joined = [g for g in groups if any(near(x, y) for y in g)]
+        groups = [g for g in groups if all(g is not h for h in joined)]
+        groups.append([x] + [y for g in joined for y in g])
+    return groups
 
 
 def elementary_symmetric(values, order):

@@ -179,11 +179,11 @@ PINNED_JSON = {
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
         "e9cb14abc46f324cc0cafab5870c73f5382a2ce580c51f6517c1905fe142ef1a",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
-        "8309681b849194a7547af2d0c58f79dac065edaba08bf834fb0c7ad4baaf0455",
+        "80f5ad98ff1a8d0a2be5abce3d2e54a150969cb546b0f44b8fa9ea1c3c39b3a9",
     "analyze --roots=1e-300,2e-300,3e-300":
         "e51dd8a6314d3921c6aeafaa9d1ed93c6627f3ac7e2c54a5c04f71e6eb1ba6e4",
     "analyze --roots=1+1i,1+1i,2,0-0.5i":
-        "92ec26b753a1aec562fc4698df6f794b98b861664f8445c18c72eb2a4b7dafa2",
+        "fc018be1fdbea3b34cd5ef91ed36f97bd1144ddaf96ddc949e198ae1527c1473",
     "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
         "1b4892fab9a4e9c37b339d1af2bce9010bd64735445f0c4a3b4da58589e6ab36",
 }
@@ -328,13 +328,20 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
          "nonnegative and finite"),
         (["search", "--claim", "real_case", "--degree", "3", "--samples", "50",
           "--index-band", "nan"], "nonnegative and finite"),
+        # analyze checks the bound flags that no claim of these zeros uses, too
+        (["analyze", "--roots=1+1i,2", "--index-band", "nan"], "--index-band must be nonnegative and finite"),
+        (["analyze", "--roots=1+1i,2", "--index-band", "nan", "--json"],
+         "--index-band must be nonnegative and finite"),
+        (["analyze", "--roots=1+1i,2", "--delta", "nan"], "--delta must be positive and finite"),
+        (["analyze", "--roots=1+1i,2", "--delta", "nan", "--json"], "--delta must be positive and finite"),
     ],
     ids=[
         "infinite-root", "infinite-eps", "measure-overflow", "search-range",
         "index-bound-overflow", "expand-overflow", "expand-shift-overflow", "expand-nan-center",
         "bound-overflow", "bound-overflow-json", "product-bound-overflow-json",
         "nan-slack", "nan-slack-json", "infinite-slack-json", "nan-index-band",
-        "negative-index-band", "search-nan-index-band",
+        "negative-index-band", "search-nan-index-band", "analyze-nan-index-band",
+        "analyze-nan-index-band-json", "analyze-nan-delta", "analyze-nan-delta-json",
     ],
 )
 def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word):
