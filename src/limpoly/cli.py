@@ -45,7 +45,8 @@ from .verdicts import ClaimId, Classification
 
 __all__ = ["main", "parse_complex", "parse_roots"]
 
-SCHEMA_VERSION = "1"
+# Each command's document layout; analyze's 2 drops sendov_distances.distances.
+SCHEMA_VERSION = {"analyze": "2", "expand": "1", "search": "1", "verify": "1"}
 SEED_ENV_VAR = "LIMPOLY_SEED"
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -106,7 +107,7 @@ def _report(args, results: dict, diagnostics: dict | None = None, **parsed) -> d
     if diagnostics:
         base.update(diagnostics)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION[args.command],
         "command": args.command,
         "inputs": inputs,
         "results": results,

@@ -57,9 +57,9 @@ from .polynomials import (
     RootMultiset,
     RootsLike,
     _derive,
+    _evaluation_scale,
     _horner,
     derivative,
-    evaluation_scale,
 )
 
 __all__ = [
@@ -106,7 +106,7 @@ class CriticalSet:
 
 
 def _scaled_residual(coeffs, z: complex) -> float:
-    scale = evaluation_scale(coeffs, z)
+    scale = _evaluation_scale(coeffs, z)  # coeffs is complex already: no public re-coercion
     if scale == 0.0:
         return 0.0
     return abs(_horner(coeffs, z)) / scale
@@ -435,9 +435,12 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
         )
     radii = []
     for zi in z:
-        f, g, h, _ = _secular(clusters, zi)
-        den = abs(f * h - g)
-        radii.append(d * abs(f) / den if den else math.inf)
+        try:
+            f, g, h, _ = _secular(clusters, zi)
+            den = abs(f * h - g)
+            radii.append(d * abs(f) / den if den else math.inf)
+        except ZeroDivisionError:  # an iterate on a zero, as the sweep may leave one
+            radii.append(0.0)
     for group in _groups(z, radii, lambda i, j: abs(z[i] - z[j]) <= radii[i] + radii[j]):
         if len(group) > 1:
             mean = sum(z[i] for i in group) / len(group)
@@ -497,28 +500,22 @@ def higher_derivative_zeros(p: MonicPolynomial, k: int) -> CriticalSet:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """All |a_i - b_k| distances between zeros and derivative zeros."""
+    """Each zero's distance to its nearest derivative zero, and the least zero's farthest."""
 
-    distances: tuple[tuple[float, ...], ...]  # one row per zero
-    per_zero_min: tuple[float, ...]
+    per_zero_min: tuple[float, ...]  # one per zero
     all_within_unit: bool  # every zero has a derivative zero strictly within 1
     min_zero_index: int  # smallest-modulus zero (ties: smallest index)
     max_from_min_zero: float  # worst distance from that zero to any derivative zero
 
 
 def sendov_distances(roots: RootsLike, crit: CriticalSet) -> DistanceTable:
-    """Distance table between the zeros and a computed critical set."""
+    """Zero-to-critical-point summaries of the zeros against a computed critical set."""
     rs = RootMultiset(roots)
-    rows = tuple(
-        tuple(abs(a - b) for b in crit.points)
-        for a in rs.roots
-    )
-    per_zero_min = tuple(min(row) for row in rows)
+    per_zero_min = tuple(min(abs(a - b) for b in crit.points) for a in rs.roots)
     j = rs.min_modulus_index()
     return DistanceTable(
-        distances=rows,
         per_zero_min=per_zero_min,
         all_within_unit=all(m < 1.0 for m in per_zero_min),
         min_zero_index=j,
-        max_from_min_zero=max(rows[j]),
+        max_from_min_zero=max(abs(rs.roots[j] - b) for b in crit.points),
     )

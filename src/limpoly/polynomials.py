@@ -185,10 +185,14 @@ def evaluation_scale(p, z: complex) -> float:
     should be judged; a computed value within roundoff of zero has
     |residual| of order machine epsilon times this scale.
     """
-    base = max(1.0, abs(complex(z)))
+    return _evaluation_scale(_coeffs_of(p), complex(z))
+
+
+def _evaluation_scale(coeffs: Sequence[complex], z: complex) -> float:
+    base = max(1.0, abs(z))
     scale = 0.0
     power = 1.0
-    for c in _coeffs_of(p):
+    for c in coeffs:
         scale += abs(c) * power
         power *= base
     return scale

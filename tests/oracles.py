@@ -8,7 +8,8 @@ monotone-chain construction, and real derivative zeros are bisected at
 bisection that the real critical-point path once ran, kept as the
 reference for the float that path must still return, and scan_groups is
 the all-pairs grouping that the complex path once ran, kept as the
-reference for the groups it must still form.
+reference for the groups it must still form.  distance_summary reads
+the zero-to-critical-point summaries off the full table of distances.
 """
 
 from __future__ import annotations
@@ -74,6 +75,22 @@ def scan_groups(items, near):
         groups = [g for g in groups if all(g is not h for h in joined)]
         groups.append([x] + [y for g in joined for y in g])
     return groups
+
+
+def distance_summary(roots, points):
+    """(per_zero_min, all_within_unit, min_zero_index, max_from_min_zero), by brute force.
+
+    Builds every |a_i - b_k|, reads each row's minimum, and finds the least
+    zero by a scan that moves only on a strictly smaller modulus, so the
+    first of tied zeros wins.
+    """
+    table = [[abs(a - b) for b in points] for a in roots]
+    nearest = tuple(min(row) for row in table)
+    least = 0
+    for i, a in enumerate(roots):
+        if abs(a) < abs(roots[least]):
+            least = i
+    return nearest, all(d < 1.0 for d in nearest), least, max(table[least])
 
 
 def elementary_symmetric(values, order):

@@ -1,12 +1,16 @@
+import cmath
 import hashlib
 import json
+import math
 import textwrap
 
+import numpy as np
 import pytest
 
 from limpoly import critical
 from limpoly.cli import main, parse_complex
 from limpoly.serialize import canonical_dumps
+from oracles import complex_derivative_zeros
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +48,7 @@ def test_analyze_cubic_json(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["command"] == "analyze"
     results = report["results"]
     assert results["measure"] == pytest.approx(6.0)
@@ -131,6 +135,38 @@ def test_analyze_mixed_scale_complex_zeros(capsys):
     assert "critical points (simultaneous-iteration): 1.500000e-200+5.000000e-201i," in out
 
 
+def test_analyze_survives_an_iterate_on_a_zero(capsys):
+    # the least zero scales to 0 beside the largest, where an Aberth iterate ends; its radius is 0
+    text = "-1.2176272777500325e-276,1.4523878668236158e+54,1.379050281403593e-88-1.1379760027415715e-106i"
+    roots = [parse_complex(token) for token in text.split(",")]
+    code, out, err = run_cli(capsys, "analyze", "--json", f"--roots={text}")
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert canonical_dumps(report) + "\n" == out
+    # right to the spread, as the complex path promises
+    spread = max(abs(a - sum(roots) / 3) for a in roots)
+    points = sorted((complex(re, im) for re, im in report["results"]["critical_points"]["points"]),
+                    key=lambda b: b.real)
+    exact = sorted((complex(b) for b in complex_derivative_zeros(roots)), key=lambda b: b.real)
+    for b, ref in zip(points, exact, strict=True):
+        assert abs(b - ref) <= 1e-13 * spread, (b, ref)
+
+
+def _analyze_json_bytes(capsys, n: int) -> int:
+    rng = np.random.default_rng(20261021)
+    roots = [cmath.rect(math.sqrt(r), t) for r, t in zip(rng.uniform(0, 1, n), rng.uniform(0, 2 * math.pi, n))]
+    code, out, _ = run_cli(capsys, "analyze", "--roots=" + ",".join(
+        f"{z.real!r}{z.imag:+}i" for z in roots
+    ), "--json")
+    assert code == 0
+    return len(out)
+
+
+def test_analyze_json_grows_linearly_with_degree(capsys):
+    # every section is O(n); an n^2 one (such as a full distance table) about quadruples at double n
+    assert _analyze_json_bytes(capsys, 80) / _analyze_json_bytes(capsys, 40) < 2.1
+
+
 def test_analyze_skips_a_claim_whose_check_leaves_double_range(capsys):
     # eps * stirling_sum(3) is inf: those claims have no verdict, the rest of the report stands
     code, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "1e308", "--json")
@@ -151,11 +187,11 @@ def test_analyze_json_round_trip(capsys):
 # with a CHANGES.md entry saying why the output changed.
 PINNED_JSON = {
     "analyze --roots 1,2,3 --eps 7":
-        "0eb682e39fe63984e7637718e58842705a80d1eb8da25f4a344f01f63699c046",
+        "9d5e1a98b786578e40b82179bb25edb61952e1904f7dcbdfb1376864c4b2b6bc",
     "analyze --roots 0.001,0.001,500 --eps 1":
-        "cf29f05d11ad807214656bb89a046a6504d3a4feb216460b334e2272e1467ca2",
+        "3ea3edb7663f8ea62c8e53f243c34fcbd72a72f87d0f1c65c15e30069da5f961",
     "analyze --roots 1+1i,2":
-        "e7ce05d8432aa25fa243707b9175ecc7c6fddc5390efa1af312316f7b277c71b",
+        "c8ec986de14217fedf3844a9680dc5f24607cbf53ee7ad1c3f5a93a5a0013693",
     "verify --claim real_case --roots 0.1,0.2,0.3 --eps 1 --delta 1":
         "d8c8e0b056774a209503a8e534eeeb4c422a4673a72d2495d74ee6ba41df2cde",
     "verify --claim index_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
@@ -179,13 +215,13 @@ PINNED_JSON = {
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
         "e9cb14abc46f324cc0cafab5870c73f5382a2ce580c51f6517c1905fe142ef1a",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
-        "80f5ad98ff1a8d0a2be5abce3d2e54a150969cb546b0f44b8fa9ea1c3c39b3a9",
+        "9d159390fcdaefcf8346e66dd020645a1846bf5c7b4f2e6dc14a73ade90b2cb7",
     "analyze --roots=1e-300,2e-300,3e-300":
-        "e51dd8a6314d3921c6aeafaa9d1ed93c6627f3ac7e2c54a5c04f71e6eb1ba6e4",
+        "9d98d4cdd0220b327b86c62bfc6f61331727a7fbe3c375e85839bb5cf45310d7",
     "analyze --roots=1+1i,1+1i,2,0-0.5i":
-        "fc018be1fdbea3b34cd5ef91ed36f97bd1144ddaf96ddc949e198ae1527c1473",
+        "b95dec574f75ebdebcede31b4cbc60767e393fd3cb46de7bb5714e5c49888568",
     "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
-        "1b4892fab9a4e9c37b339d1af2bce9010bd64735445f0c4a3b4da58589e6ab36",
+        "861885fa17b7e5e1b240e757e48d736a485e1f3f02900a65e82bee4a3aa9f601",
 }
 
 

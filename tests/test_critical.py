@@ -32,6 +32,7 @@ from oracles import (
     bisection_on_sign,
     certify_critical_points,
     complex_derivative_zeros,
+    distance_summary,
     hull_distance,
     real_derivative_tower,
     scan_groups,
@@ -279,8 +280,7 @@ def test_sendov_distance_examples():
     table = sendov_distances(roots, critical_points(from_roots(roots)))
     offset = 1 / math.sqrt(3)
     assert table.min_zero_index == 0
-    assert table.distances[0][0] == pytest.approx(1 - offset, abs=1e-9)
-    assert table.distances[0][1] == pytest.approx(1 + offset, abs=1e-9)
+    assert table.per_zero_min[0] == pytest.approx(1 - offset, abs=1e-9)
     assert table.max_from_min_zero == pytest.approx(1 + offset, abs=1e-9)
     assert table.max_from_min_zero > 1
     assert table.all_within_unit  # every zero still has some critical point within 1
@@ -293,6 +293,37 @@ def test_sendov_distance_examples():
     skew = [0.001, 0.001, 500]
     skew_table = sendov_distances(skew, critical_points(from_roots(skew)))
     assert skew_table.max_from_min_zero == pytest.approx(333.3327, abs=1e-3)
+
+    tied = [2, 1j, -1, 1]  # three moduli tie at 1: the first of them is the least zero
+    assert sendov_distances(tied, critical_points(from_roots(tied))).min_zero_index == 1
+    for unit in ([0, 2], [1j, -1j]):
+        unit_table = sendov_distances(unit, critical_points(from_roots(unit)))
+        assert unit_table.per_zero_min == (1.0, 1.0)
+        assert not unit_table.all_within_unit  # within 1 means strictly
+
+
+# zeros on a coarse grid, so moduli tie and zeros repeat, or on a fine one
+_grid = st.integers(-8, 8).map(lambda k: k / 4)
+_fine = st.integers(-2**20, 2**20).map(lambda k: k / 2**18)
+
+
+@seed(20261021)
+@settings(max_examples=120, deadline=None)
+@given(
+    roots=st.one_of(
+        st.lists(st.builds(complex, _grid, _grid), min_size=2, max_size=9),
+        st.lists(_grid.map(complex), min_size=2, max_size=9),
+        st.lists(st.builds(complex, _fine, _fine), min_size=2, max_size=9),
+    )
+)
+@example(roots=[2, 1j, -1, 1])  # three moduli tie at 1: index 1 is the least zero
+@example(roots=[0, 2])  # the critical point 1 is exactly 1 from each zero
+@example(roots=[1j, -1j, 1, -1])  # ties in modulus, and a triple critical point exactly 1 away
+def test_sendov_summaries_match_the_full_table(roots):
+    crit = critical_points(from_roots(roots))
+    t = sendov_distances(roots, crit)
+    got = (t.per_zero_min, t.all_within_unit, t.min_zero_index, t.max_from_min_zero)
+    assert got == distance_summary([complex(a) for a in roots], crit.points)
 
 
 def test_interlacing_on_random_instances():
