@@ -40,4 +40,6 @@ print("classification:", verdict.classification.value)
 for h in verdict.hypotheses:
     print(f"  hypothesis {h.name}: met={h.met} margin={h.margin:+.6f}")
 print(f"  conclusion margin: {verdict.conclusion.margin:+.6f}")
-print("  measure identity residual:", verdict.details["measure_identity_residual"])
+details = verdict.details
+print(f"  M(PQ) = {details['product_measure']}, M(P) M(Q) = "
+      f"{details['first_measure'] * details['second_measure']}")

@@ -14,6 +14,7 @@ from limpoly import (
     from_roots,
     measure,
     modulus_projection,
+    sendov_distances,
 )
 
 
@@ -37,11 +38,13 @@ print(f"distance from the least-modulus zero: {record.min_distance_true:.6f}"
 
 print()
 print("== fourth roots of unity: an exact boundary ==")
-record = pullback([1, 1j, -1, -1j])
+quartic = [1, 1j, -1, -1j]
+crit = critical_points(from_roots(quartic))
+record = complex_pullback_check(quartic, crit)
 print("true critical points (triple zero of 4x^3):",
       [complex(round(z.real, 12), round(z.imag, 12)) for z in record.true_critical_points])
-print("distance from every zero:",
-      [round(d, 9) for d in record.per_root_min_distance])
+print("distance from every zero (sendov_distances, on the same critical set):",
+      [round(d, 9) for d in sendov_distances(quartic, crit).per_zero_min])
 print("projected side: every modulus is 1, so the projected polynomial is")
 print(f"(x-1)^4 with critical points {[round(z.real, 6) for z in record.projected_critical_points]}"
       f" and distances {[round(d, 6) for d in record.projected_distances]}")

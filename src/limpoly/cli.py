@@ -45,8 +45,8 @@ from .verdicts import ClaimId, Classification
 
 __all__ = ["main", "parse_complex", "parse_roots"]
 
-# Each command's document layout; analyze's 2 drops sendov_distances.distances.
-SCHEMA_VERSION = {"analyze": "2", "expand": "1", "search": "1", "verify": "1"}
+# Each command's document layout; a version moves whenever that command's fields change.
+SCHEMA_VERSION = {"analyze": "3", "expand": "2", "search": "2", "verify": "2"}
 SEED_ENV_VAR = "LIMPOLY_SEED"
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"

@@ -380,7 +380,7 @@ def _multiple_zero(clusters, b: complex, m: int, scale: float, floor: float) -> 
     return None
 
 
-def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[complex]:
+def _complex_critical_points(values) -> list[complex]:
     """Sorted zeros of the derivative of prod(z - v) for complex values v.
 
     Gauss-Seidel Aberth sweeps on the zeros of Q, from the eigenvalues of
@@ -411,7 +411,7 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     z = [complex(round(b.real * 2**32), round(b.imag * 2**32)) / 2**32
          for b in _compressed_zeros(clusters, np.linalg.eigvals)]
     done = [False] * d
-    for _ in range(budget):
+    for _ in range(_SWEEP_BUDGET):
         if all(done):
             break
         for i, zi in enumerate(z):
@@ -429,7 +429,7 @@ def _complex_critical_points(values, budget: int = _SWEEP_BUDGET) -> list[comple
     if not all(done):
         sums = [_secular(clusters, zi) for zi in z]
         raise ConvergenceError(
-            f"no convergence after {budget} sweeps",
+            f"no convergence after {_SWEEP_BUDGET} sweeps",
             tuple(_ldexp(zi, e) for zi in z),
             tuple(abs(f) / size for f, _, _, size in sums),
         )

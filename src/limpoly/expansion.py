@@ -93,8 +93,7 @@ def local_expansion_max_plus(roots: RootsLike) -> LocalExpansion:
 class IndexBoundEntry:
     order: int  # power of y the coefficient belongs to
     magnitude: float
-    bound: float
-    holds: bool  # strict magnitude < bound
+    holds: bool  # strict magnitude < the report's bound
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def index_bound_check(exp: LocalExpansion, roots: RootsLike) -> IndexBoundReport
     entries = []
     for k in range(1, len(exp.coeffs)):
         mag = abs(exp.coeffs[k - 1])
-        entries.append(IndexBoundEntry(order=k, magnitude=mag, bound=bound, holds=mag < bound))
+        entries.append(IndexBoundEntry(order=k, magnitude=mag, holds=mag < bound))
     return IndexBoundReport(
         entries=tuple(entries),
         bound=bound,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .claims import _STIRLING_N_MAX, run_claim
-from .critical import ConvergenceError, CriticalSet, critical_points, sendov_distances
+from .critical import ConvergenceError, CriticalSet, critical_points
 from .measure import _require_nonnegative_finite, _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
 from .serialize import canonical_dumps, to_jsonable
@@ -438,16 +438,12 @@ class PullbackRecord:
     is asserted, only measured.
     """
 
-    min_zero_index: int
     true_critical_points: tuple[complex, ...]
     projected_roots: tuple[complex, ...]
     projected_critical_points: tuple[complex, ...]
-    min_distance_true: float
+    min_distance_true: float  # from the least root to its nearest true critical point
     within_bound: bool  # min_distance_true < 1 + slack
-    slack: float
-    per_root_min_distance: tuple[float, ...]
     projected_distances: tuple[float, ...]  # from |least root| to projected criticals
-    projected_zero_moduli: bool
 
 
 def complex_pullback_check(
@@ -466,22 +462,13 @@ def complex_pullback_check(
         raise ValueError(f"{rs.n} zeros have {rs.n - 1} critical points, not {len(crit.points)}")
     projected = modulus_projection(rs)
     projected_crit = critical_points(from_roots(projected))
-    table = sendov_distances(rs, crit)
-    j = table.min_zero_index
-    min_distance = table.per_zero_min[j]
-    projected_anchor = abs(rs.roots[j])
-    projected_distances = tuple(
-        abs(projected_anchor - c.real) for c in projected_crit.points
-    )
+    least = rs.roots[rs.min_modulus_index()]
+    min_distance = min(abs(least - b) for b in crit.points)
     return PullbackRecord(
-        min_zero_index=j,
         true_critical_points=crit.points,
         projected_roots=projected.roots,
         projected_critical_points=projected_crit.points,
         min_distance_true=min_distance,
         within_bound=min_distance < 1.0 + slack,
-        slack=float(slack),
-        per_root_min_distance=table.per_zero_min,
-        projected_distances=projected_distances,
-        projected_zero_moduli=any(r == 0 for r in projected.roots),
+        projected_distances=tuple(abs(abs(least) - c.real) for c in projected_crit.points),
     )

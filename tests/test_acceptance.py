@@ -36,6 +36,7 @@ from limpoly import (
     report_to_jsonable,
     rescale_roots,
     run_search,
+    sendov_distances,
     stirling_bound_compare,
     taylor_shift,
 )
@@ -313,10 +314,12 @@ def test_criterion_11_complex_projection():
         assert abs(pm - m) <= 1e-12 * m
 
     quartic = [1, 1j, -1, -1j]
-    record = complex_pullback_check(quartic, critical_points(from_roots(quartic)))
+    crit = critical_points(from_roots(quartic))
+    record = complex_pullback_check(quartic, crit)
     assert len(record.true_critical_points) == 3
     assert all(abs(b) <= 1e-9 for b in record.true_critical_points)
-    for distance in record.per_root_min_distance:
+    assert abs(record.min_distance_true - 1.0) <= 1e-9
+    for distance in sendov_distances(quartic, crit).per_zero_min:
         assert abs(distance - 1.0) <= 1e-9
     _ok(
         11,

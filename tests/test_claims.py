@@ -102,7 +102,6 @@ def test_basic_inequality_cubic():
     verdict = check_basic_inequality([1, 2, 3], eps=7)
     assert verdict.details["derivative_sum"] == pytest.approx(14.0, rel=1e-12)
     assert verdict.details["weighted_coeff_sum"] == pytest.approx(14.0, rel=1e-12)
-    assert verdict.details["identity_rel_err"] <= 1e-12
     assert verdict.details["exponential_bound"] == pytest.approx(7 * _mp_stirling_sum(3), rel=1e-12)
     assert verdict.hypotheses[0].met  # 6 < 7
     assert verdict.classification is Classification.CONFIRMED
@@ -135,10 +134,25 @@ def test_a_check_with_a_side_out_of_double_range_raises():
 
 
 def test_basic_inequality_chain_flags():
-    verdict = check_basic_inequality([1, 2, 3], eps=7)
+    details = check_basic_inequality([1, 2, 3], eps=7).details
     # the exponential form underestimates the factorial sum for every n
-    assert not verdict.details["chain_factorial_below_exponential"]
-    assert verdict.details["chain_weighted_below_factorial"]
+    assert details["exponential_bound"] < details["factorial_bound"]
+    assert details["weighted_coeff_sum"] < details["factorial_bound"]
+
+
+@pytest.mark.parametrize("draw", ["log-uniform", "uniform"])
+def test_derivative_sum_equals_weighted_coeff_sum(draw):
+    # the two reported forms of one sum: Horner on P's coefficients, and k! |t_k| of the expansion
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(2, 41))
+        if draw == "log-uniform":
+            roots = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n)).tolist()
+        else:
+            roots = rng.uniform(0.05, 4.0, n).tolist()
+        details = check_basic_inequality(roots, eps=1.0).details
+        lhs, rhs = details["derivative_sum"], details["weighted_coeff_sum"]
+        assert abs(lhs - rhs) <= 1e-12 * max(lhs, rhs), (roots, lhs, rhs)
 
 
 def test_proof_identity_on_random_instances():

@@ -48,7 +48,7 @@ def test_analyze_cubic_json(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
     assert report["command"] == "analyze"
     results = report["results"]
     assert results["measure"] == pytest.approx(6.0)
@@ -177,6 +177,18 @@ def test_analyze_skips_a_claim_whose_check_leaves_double_range(capsys):
     assert claims["squeeze"]["classification"] == "COUNTEREXAMPLE"
 
 
+def test_analyze_solver_error_is_a_one_line_error(capsys, monkeypatch):
+    def no_convergence(p):
+        raise critical.ConvergenceError("no convergence after 200 sweeps", (), ())
+
+    monkeypatch.setattr("limpoly.cli.critical_points", no_convergence)
+    for json_flag in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "analyze", "--roots", "1+1i,2", *json_flag)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("limpoly analyze: solver error: no convergence after 200 sweeps")
+
+
 def test_analyze_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     parsed = json.loads(out)
@@ -187,41 +199,41 @@ def test_analyze_json_round_trip(capsys):
 # with a CHANGES.md entry saying why the output changed.
 PINNED_JSON = {
     "analyze --roots 1,2,3 --eps 7":
-        "9d5e1a98b786578e40b82179bb25edb61952e1904f7dcbdfb1376864c4b2b6bc",
+        "142982ab4b8e43ea9947a5dde59b10e570710a1b77d49a7330921c9bcabf9e38",
     "analyze --roots 0.001,0.001,500 --eps 1":
-        "3ea3edb7663f8ea62c8e53f243c34fcbd72a72f87d0f1c65c15e30069da5f961",
+        "05a7c32d0da6b3fc9fdc7cc500fc7cb2d59f292abc8ba47240716821b992600b",
     "analyze --roots 1+1i,2":
-        "c8ec986de14217fedf3844a9680dc5f24607cbf53ee7ad1c3f5a93a5a0013693",
+        "4be9085221ef35663e479d7e713653163fb117c43565209a34be4938559784f9",
     "verify --claim real_case --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "d8c8e0b056774a209503a8e534eeeb4c422a4673a72d2495d74ee6ba41df2cde",
+        "39b61aef9e2174d7069093888b562ab53b44c51172fe298a13877879a6c781e8",
     "verify --claim index_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "5440dad310a9ce976b734ca11052b65ed876236a0271642253ea4c581e1210d2",
+        "67fd4da11a4d7bfdad0edbcb103da486d926273918ca74019978a261029b96bb",
     "verify --claim basic_inequality --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "cc9ca0e33bd274c5188b10557202cfe41642e91afcaa61750c0eba2b10525015",
+        "55abc6c61f7ca09a2d8edf7c76cdd7d9e2cb952505821ad84a36ae05af32ccb8",
     "verify --claim squeeze --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "a701b76523b004a948c77ff7bfe92304ffadf80412d14c0f8d0085ee3f45b0e0",
+        "179c78c617475ffa25b8b5aafb6c755a1d2e3de038e835f60da496775182d38d",
     "verify --claim perm_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "c25b5db40a587b851e7ba3380c86542087cc2eaa5583f3041a854d9f614b33de",
+        "5d463c734e79ac05274bfb9b388b0e3c47f8c08f0af7995ab4a82d1e9aa75a31",
     "verify --claim deriv_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "8eaaab047d22e73d766e89d9f5bd4b4617ea953ff3bc09f72c5051c8d756acce",
+        "45f910f4ece94e77500495c51ee273bd13362799c78749a3e5be737fffd93020",
     "verify --claim product_prop --roots 0.1,0.2,0.3 --roots2 0.5,2 --eps 1 --delta 1":
-        "d7efbe9874808c84eb4113d3519d21b301ceb462acb1cb6cb1180dfc74eecd90",
+        "bd940c89457e7493aed7a0dd1d28ef248095588c2957fe2b537bd4d16f96d189",
     "expand --roots 1,2,3 --center min":
-        "b411eacb1b253585b6f736d413a2e0afc8b5c03baf43bcba8027a8eacf20d783",
+        "e301fffe5e80eca8009f5a9331ca4c31a892c6774e21088ebb785ceed0887052",
     "expand --roots 1,2,3 --center max-plus":
-        "ef3824ca9ec732a14591da9b63232804bd77f2722780c17ba38c35558a06ffc5",
+        "25cb3e1cf4b7a1bf352df8df1f44921fdd4fd2ba8f101d3c6066680caeccac56",
     "expand --roots 1,2,3 --center value:0.5":
-        "c2def91dd105b7efae0dcd1755360a677db32e885593e0db60bbdf8ee09eaf29",
+        "c6c668734eae41b33e8ccae0b5fed16722a3131a0f8266f6002a8e1708222f98",
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
-        "e9cb14abc46f324cc0cafab5870c73f5382a2ce580c51f6517c1905fe142ef1a",
+        "eb7e58e42dc6145aa1f0a2784fc4d7f7d7a6e6601eb62b28bb615991618805bb",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
-        "9d159390fcdaefcf8346e66dd020645a1846bf5c7b4f2e6dc14a73ade90b2cb7",
+        "99655e77df6ccb81b6acd876e49124840466abdffdc2b4a5ccfdcc82967eef35",
     "analyze --roots=1e-300,2e-300,3e-300":
-        "9d98d4cdd0220b327b86c62bfc6f61331727a7fbe3c375e85839bb5cf45310d7",
+        "659803d6a74dbd483bea845ff4d324684158ea66bd6d7e4e4aaa6f0ec81e516b",
     "analyze --roots=1+1i,1+1i,2,0-0.5i":
-        "b95dec574f75ebdebcede31b4cbc60767e393fd3cb46de7bb5714e5c49888568",
+        "53d57d58abefe8d1d650c01c307eee31394900b518f69c429420c9dad0bf302b",
     "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
-        "861885fa17b7e5e1b240e757e48d736a485e1f3f02900a65e82bee4a3aa9f601",
+        "41ce5132116ebffe0f7bf87311aa144728824e40dada6e4acd0714084c8d2914",
 }
 
 

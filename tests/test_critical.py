@@ -430,10 +430,11 @@ def test_complex_tower_matches_mpmath():
         _assert_complex_match(zeros.points, complex_derivative_zeros(roots, k), 1e-13 * scale)
 
 
-def test_convergence_error_carries_iterates():
+def test_convergence_error_carries_iterates(monkeypatch):
     # from its eigenvalue starts this input needs two sweeps
-    with pytest.raises(ConvergenceError) as err:
-        _complex_critical_points(_unit_disk(3, 20), budget=1)
+    monkeypatch.setattr(critical, "_SWEEP_BUDGET", 1)
+    with pytest.raises(ConvergenceError, match="no convergence after 1 sweeps") as err:
+        _complex_critical_points(_unit_disk(3, 20))
     assert len(err.value.iterates) == 19
     assert len(err.value.residuals) == 19
 

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from limpoly import (
+    DEFAULT_TOL,
     Classification,
     RootMultiset,
     check_product_proposition,
@@ -89,7 +90,20 @@ def test_product_proposition_examples():
     assert shared.classification is Classification.HYPOTHESES_NOT_MET
     names = {h.name: h.met for h in shared.hypotheses}
     assert not names["zero-sets-disjoint"]
-    assert shared.details["measure_identity_holds"]  # identity checked regardless
+    details = shared.details  # the measures are reported whatever the verdict
+    product = details["first_measure"] * details["second_measure"]
+    assert DEFAULT_TOL.close(details["product_measure"], product)
+
+
+def test_product_measure_is_the_product_of_the_measures():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        n, k = rng.integers(1, 9, size=2)
+        p = (2 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))).tolist()
+        q = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k)).tolist()
+        details = check_product_proposition(p, q, 1.0, 1.0).details
+        product = details["first_measure"] * details["second_measure"]
+        assert DEFAULT_TOL.close(details["product_measure"], product), (p, q)
 
 
 def test_product_proposition_rejects_bad_bounds():

@@ -25,6 +25,7 @@ from limpoly import (
     modulus_projection,
     report_to_jsonable,
     run_search,
+    sendov_distances,
     write_counterexample_log,
 )
 from limpoly import search
@@ -283,7 +284,7 @@ PINNED_REPORTS = [
     ("index_bound", 3, 3, "uniform:0.05,0.5", {},
      "5c59e802f683fcd7baf53514494968f390ba754b81a6b249251e2e2d608ba12c"),
     ("basic_inequality", 2, 8, "uniform:0.05,2", {},
-     "0cb3def3786ae7680ed9b7b9097240f006d52f9f168cedd1472a29c32872c54a"),
+     "ae096cb3e67d3f073d2c8e021dd3f581241ee68776e9a00575d88d740b56440a"),
     ("perm_sum_bound", 2, 8, "uniform:0.05,2", {},
      "6284cb6de6bdc744c862e3e295a0c0fbb4a87033acbfd9d3aaf68f6c4606b0ec"),
     ("deriv_sum_bound", 2, 8, "uniform:0.05,2", {},
@@ -433,12 +434,24 @@ def test_pullback_fourth_roots_of_unity():
     record = _pullback([1, 1j, -1, -1j])
     assert len(record.true_critical_points) == 3
     assert all(abs(b) <= 1e-9 for b in record.true_critical_points)
-    for d in record.per_root_min_distance:
-        assert d == pytest.approx(1.0, abs=1e-9)
+    assert record.projected_roots == (1, 1, 1, 1)
+    assert record.projected_distances == pytest.approx([0, 0, 0], abs=1e-12)
     # exact boundary: the strict comparison sits at roundoff, but any
     # positive slack settles it
     assert record.min_distance_true == pytest.approx(1.0, abs=1e-9)
     assert _pullback([1, 1j, -1, -1j], slack=0.01).within_bound
+
+
+def test_pullback_distance_is_the_distance_tables_entry():
+    # the pullback reads the least zero's nearest distance itself; it is the same float
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        roots = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)).tolist()
+        crit = critical_points(from_roots(roots))
+        table = sendov_distances(roots, crit)
+        record = complex_pullback_check(roots, crit)
+        assert record.min_distance_true == table.per_zero_min[table.min_zero_index]
 
 
 def test_pullback_rejects_singletons_and_bad_slack():
