@@ -24,12 +24,15 @@ code paths only polish its eigenvalues:
   midpoints.  Where the steps pin two adjacent floats inside an interval
   of one sign, the bisection would end there, and their midpoint is
   returned; elsewhere it is replayed from those signs.
-* otherwise: Aberth sweeps on the secular form of the zeros, that is on
-  Q(z) = f(z) prod (z - v_i) evaluated through f, from the eigenvalues
-  rounded to a grid, so the eigen-solve's last bits never reach the
-  points.  Iterates that close in on an m-fold critical point are
-  finished together by Newton on the m-th derivative, which has a simple
-  zero there.
+* otherwise: total-step Aberth sweeps on arrays, no BLAS call, on the
+  secular form of the zeros, that is on Q(z) = f(z) prod (z - v_i)
+  evaluated through f, from the eigenvalues rounded to a grid, so
+  neither the eigen-solve's last bits nor a BLAS kernel's rounding
+  reaches the points.  Iterates whose inclusion discs overlap close in
+  on an m-fold critical point, and are finished together by Newton on
+  the m-th derivative, which has a simple zero there.  A disc's radius
+  is deg Q * max(|f|, floor * size) / |f h - g|: the noise floor keeps
+  it from shrinking where |f| is only roundoff.
 
 Each solve multiplies its zeros by one power of two before grouping
 them, which is exact in the normal range, and maps the points back.
@@ -83,7 +86,8 @@ _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros coun
 class ConvergenceError(RuntimeError):
     """The iteration budget ran out, or the eigen-solve for the starts failed.
 
-    Carries the best iterates seen, none where there were no starts.
+    Carries the last iterates, none where there were no starts, and each
+    one's |f| / size there.
     """
 
     def __init__(self, message: str, iterates: tuple[complex, ...], residuals: tuple[float, ...]):
@@ -333,21 +337,15 @@ def _groups(points, reach, near) -> list[list[int]]:
     return groups
 
 
-def _secular(clusters, z: complex) -> tuple[complex, complex, complex, float]:
-    """f = sum m/(z - v), g = sum m/(z - v)^2, h = sum 1/(z - v), and sum m/|z - v|.
-
-    Q(z) = f(z) prod (z - v) vanishes at the critical points that are not
-    zeros of P, and Q/Q' = f / (f h - g).
-    """
-    f = g = h = 0j
+def _secular(clusters, z: complex) -> tuple[complex, float]:
+    """f = sum m/(z - v) and sum m/|z - v|, the scale of its roundoff."""
+    f = 0j
     size = 0.0
     for v, m in clusters:
         w = 1.0 / (z - v)
         f += m * w
-        g += m * w * w
-        h += w
         size += m * abs(w)
-    return f, g, h, size
+    return f, size
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -373,7 +371,7 @@ def _multiple_zero(clusters, b: complex, m: int, scale: float, floor: float) -> 
             step = e[m] / ((m + 1) * e[m + 1])
             b -= step
             if abs(step) <= _STEP_TOL * max(abs(b), scale):
-                f, _, _, size = _secular(clusters, b)
+                f, size = _secular(clusters, b)
                 return b if abs(f) <= floor * size else None
     except ZeroDivisionError:  # b hit a zero, or e_{m+1} vanished
         pass
@@ -383,16 +381,29 @@ def _multiple_zero(clusters, b: complex, m: int, scale: float, floor: float) -> 
 def _complex_critical_points(values) -> list[complex]:
     """Sorted zeros of the derivative of prod(z - v) for complex values v.
 
-    Gauss-Seidel Aberth sweeps on the zeros of Q, from the eigenvalues of
-    the compressed zero matrix, each rounded to a multiple of 2**-32 in
-    the scaled plane: a start so near its zero usually converges in two
-    sweeps, and LAPACK's last bits, which differ between BLAS builds,
-    change a start only where they straddle a grid midpoint.  An iterate
-    is done when f is at its roundoff floor or its step is below
-    _STEP_TOL of max(|z|, spread).  Iterates whose inclusion discs
-    (radius deg Q * |Q/Q'|) overlap close in on one m-fold critical
-    point; Newton on P^(m) from their mean finishes it, and is kept only
-    where f vanishes to roundoff.
+    Total-step Aberth sweeps (Ehrlich 1967; Aberth 1973) on arrays, no
+    BLAS call, on the zeros of Q(z) = f(z) prod (z - v), from the
+    eigenvalues of the compressed zero matrix, each rounded to a multiple
+    of 2**-32 in the scaled plane: a start so near its zero usually
+    converges in two sweeps, and LAPACK's last bits, which differ between
+    BLAS builds, change a start only where they straddle a grid midpoint.
+    A sweep moves every active iterate at once by f / (f (h - pull) - g),
+    with h = sum 1/(z - v), g = sum m/(z - v)^2 and pull the sum of
+    1/(z - z_j) over the other iterates: elementwise products and row
+    sums, which round alike on every CPU, where BLAS kernels do not.  An
+    iterate is done when f is at its roundoff floor or its step is below
+    _STEP_TOL of max(|z|, spread).  Those on a zero or another iterate,
+    or with a zero denominator, are nudged off, each by its own multiple
+    of _STEP_TOL * spread, so iterates that coincide come apart; one
+    whose sums overflow goes NaN, and the budget runs out.
+
+    Iterates whose inclusion discs overlap close in on one m-fold
+    critical point; Newton on P^(m) from their mean finishes it, and is
+    kept only where f vanishes to roundoff.  A disc's radius is
+    deg Q * max(|f|, floor * size) / |f h - g| from the iterate's last
+    sweep, and 0 on a zero: near a multiple critical point the computed
+    |f| is only roundoff, and this noise floor keeps the discs from
+    shrinking below it.
     """
     # components, not abs(): the modulus of a zero near the top of double range overflows
     e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in values))[1]
@@ -408,39 +419,43 @@ def _complex_critical_points(values) -> list[complex]:
     center = sum(m * v for v, m in clusters) / n
     spread = max(abs(v - center) for v, _ in clusters)
     floor = 4 * n * sys.float_info.epsilon
-    z = [complex(round(b.real * 2**32), round(b.imag * 2**32)) / 2**32
-         for b in _compressed_zeros(clusters, np.linalg.eigvals)]
-    done = [False] * d
-    for _ in range(_SWEEP_BUDGET):
-        if all(done):
-            break
-        for i, zi in enumerate(z):
-            if done[i]:
-                continue
-            try:
-                f, g, h, size = _secular(clusters, zi)
-                pull = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
-                step = f / (f * (h - pull) - g)
-            except ZeroDivisionError:  # on a zero or another iterate
-                z[i] = zi + _STEP_TOL * spread * (1 + 1j)
-                continue
-            z[i] = zi - step
-            done[i] = abs(f) <= floor * size or abs(step) <= _STEP_TOL * max(abs(z[i]), spread)
-    if not all(done):
-        sums = [_secular(clusters, zi) for zi in z]
-        raise ConvergenceError(
-            f"no convergence after {_SWEEP_BUDGET} sweeps",
-            tuple(_ldexp(zi, e) for zi in z),
-            tuple(abs(f) / size for f, _, _, size in sums),
-        )
-    radii = []
-    for zi in z:
-        try:
-            f, g, h, _ = _secular(clusters, zi)
-            den = abs(f * h - g)
-            radii.append(d * abs(f) / den if den else math.inf)
-        except ZeroDivisionError:  # an iterate on a zero, as the sweep may leave one
-            radii.append(0.0)
+    v = np.array([c for c, _ in clusters])
+    mult = np.array([m for _, m in clusters], dtype=float)
+    z = np.round(np.array(_compressed_zeros(clusters, np.linalg.eigvals), complex) * 2**32) / 2**32
+    f, q, size = np.zeros(d, complex), np.zeros(d, complex), np.zeros(d)  # each iterate's last f, f h - g, size
+    active = np.arange(d)
+    with np.errstate(all="ignore"):  # a division by zero or an overflow shows as a non-finite step
+        for _ in range(_SWEEP_BUDGET):
+            if not active.size:
+                break
+            za = z[active]
+            w = 1.0 / (za[:, None] - v)
+            mw = mult * w
+            fa, ha, ga = mw.sum(axis=1), w.sum(axis=1), (mw * w).sum(axis=1)
+            gap = za[:, None] - z
+            gap[np.arange(active.size), active] = np.inf
+            den = fa * (ha - (1.0 / gap).sum(axis=1)) - ga
+            step = fa / den
+            sa = np.abs(mw).sum(axis=1)
+            f[active], q[active], size[active] = fa, fa * ha - ga, sa
+            moved = za - step
+            done = (np.abs(fa) <= floor * sa) | (np.abs(step) <= _STEP_TOL * np.maximum(np.abs(moved), spread))
+            nudge = ~np.isfinite(step)
+            if nudge.any():  # a division by zero: on a zero or another iterate, or no slope; not an overflow
+                nudge &= (za[:, None] == v).any(axis=1) | (gap == 0).any(axis=1) | (den == 0)
+                moved[nudge] = za[nudge] + _STEP_TOL * spread * (1 + 1j) * np.arange(1, nudge.sum() + 1)
+                done &= ~nudge
+            z[active] = moved
+            active = active[~done]
+        if active.size:
+            mw = mult / (z[:, None] - v)
+            raise ConvergenceError(
+                f"no convergence after {_SWEEP_BUDGET} sweeps",
+                tuple(_ldexp(b, e) for b in z.tolist()),
+                tuple((np.abs(mw.sum(axis=1)) / np.abs(mw).sum(axis=1)).tolist()),
+            )
+        radii = np.where((z[:, None] == v).any(axis=1), 0.0, d * np.maximum(np.abs(f), floor * size) / np.abs(q))
+    z, radii = z.tolist(), radii.tolist()
     for group in _groups(z, radii, lambda i, j: abs(z[i] - z[j]) <= radii[i] + radii[j]):
         if len(group) > 1:
             mean = sum(z[i] for i in group) / len(group)

@@ -20,6 +20,7 @@ from limpoly import (
     from_roots,
     higher_derivative_zeros,
     local_expansion_min,
+    permutation_sum_derivative,
     run_claim,
     stirling_bound_compare,
     stirling_sum,
@@ -153,6 +154,19 @@ def test_derivative_sum_equals_weighted_coeff_sum(draw):
         details = check_basic_inequality(roots, eps=1.0).details
         lhs, rhs = details["derivative_sum"], details["weighted_coeff_sum"]
         assert abs(lhs - rhs) <= 1e-12 * max(lhs, rhs), (roots, lhs, rhs)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_permutation_sum_at_the_least_zero_is_the_product_of_its_gaps(scale):
+    # check_perm_sum_bound reports |P'(c)| from this sum; relative, so a wrong value shows at every scale
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(2, 21))
+        values = (scale * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))).tolist()
+        least = min(values)
+        direct = math.prod(least - v for v in values if v != least)
+        value = permutation_sum_derivative(values, least)
+        assert abs(value - direct) <= 1e-12 * abs(direct), (values, value, direct)
 
 
 def test_proof_identity_on_random_instances():

@@ -227,11 +227,11 @@ PINNED_JSON = {
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
         "eb7e58e42dc6145aa1f0a2784fc4d7f7d7a6e6601eb62b28bb615991618805bb",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
-        "99655e77df6ccb81b6acd876e49124840466abdffdc2b4a5ccfdcc82967eef35",
+        "06acc164d53e3d44339b8ff606f43084098f07286169c2dec2a9a99ac8f3cca9",
     "analyze --roots=1e-300,2e-300,3e-300":
         "659803d6a74dbd483bea845ff4d324684158ea66bd6d7e4e4aaa6f0ec81e516b",
     "analyze --roots=1+1i,1+1i,2,0-0.5i":
-        "53d57d58abefe8d1d650c01c307eee31394900b518f69c429420c9dad0bf302b",
+        "d7475966c13490023342fa8e87b36c6a42e6243cb7fc6de6ff065b3f8fb1900f",
     "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
         "41ce5132116ebffe0f7bf87311aa144728824e40dada6e4acd0714084c8d2914",
 }

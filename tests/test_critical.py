@@ -1,6 +1,11 @@
 import cmath
+import json
 import math
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +454,31 @@ def test_sweep_steps_off_a_start_on_a_zero():
             assert abs(b - want) <= 1e-13 * abs(want), (roots, b, want)
 
 
+def test_convergence_error_residuals_are_at_the_returned_iterates(monkeypatch):
+    # the one sweep nudges two starts off the zero 0, and each residual is |f| / size
+    # where its iterate went, not the division by zero that moved it
+    monkeypatch.setattr(critical, "_SWEEP_BUDGET", 1)
+    roots = [0, 1e-11, 1e-11j, 1j]
+    with pytest.raises(ConvergenceError) as err:
+        _complex_critical_points(roots)
+    clusters = [(complex(r), 1) for r in roots]
+    for b, r in zip(err.value.iterates, err.value.residuals):
+        f, size = critical._secular(clusters, b)
+        assert abs(r - abs(f) / size) <= 1e-12, (b, r)
+
+
+def test_sweep_parts_two_starts_on_one_zero():
+    # two critical points within 2**-33 of a zero on the grid both start on it: the sweep
+    # moves them together, so their nudges off it must differ or they stay one point
+    for roots in ([0, 1e-11, 1e-11j, 1j], [0.5, 0.5 + 1e-12, 0.5 + 1e-12j, -0.5j]):
+        refs = [complex(r) for r in complex_derivative_zeros(roots)]
+        points = _complex_critical_points(roots)
+        assert len(set(points)) == 3, (roots, points)
+        for b in points:
+            want = min(refs, key=lambda r: abs(r - b))
+            assert abs(b - want) <= 1e-13 * abs(want), (roots, b, want)
+
+
 @pytest.mark.parametrize("n", [5, 12, 20])
 def test_complex_points_ignore_the_last_bits_of_the_eigenvalues(monkeypatch, n):
     # the starts are rounded to a grid of the scaled plane, so eigenvalues a few ulps
@@ -467,6 +497,54 @@ def test_complex_points_ignore_the_last_bits_of_the_eigenvalues(monkeypatch, n):
     for roots, points in zip(instances, want):
         got = _complex_critical_points(roots)
         assert [(b.real.hex(), b.imag.hex()) for b in got] == [(b.real.hex(), b.imag.hex()) for b in points]
+
+
+_SOLVE_IN_CHILD = """
+import json, sys
+from limpoly.critical import _complex_critical_points
+for roots in json.load(sys.stdin):
+    points = _complex_critical_points([complex(re, im) for re, im in roots])
+    print(json.dumps([[b.real.hex(), b.imag.hex()] for b in points]))
+"""
+
+
+def _kernel_choices():
+    """Environments that pick other OpenBLAS core types, or drop numpy's SIMD dispatch targets."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    choices = [{"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}]
+    if umath.__cpu_features__.get("AVX512F"):  # a forced core type must run on this CPU
+        choices.append({"OPENBLAS_CORETYPE": "SkylakeX"})
+    return choices
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS core types and numpy dispatch targets named are x86-64's")
+def test_complex_points_are_the_same_on_every_cpu_kernel():
+    # the sweep makes no BLAS call, whose kernels round differently, and its elementwise
+    # products and row sums round alike under every SIMD target
+    instances = [_unit_disk(900 + 10 * n + k, n) for n in (5, 12, 20) for k in range(7)]
+    want = [[[b.real.hex(), b.imag.hex()] for b in _complex_critical_points(roots)] for roots in instances]
+    stdin = json.dumps([[[z.real, z.imag] for z in roots] for roots in instances])
+    src = str(Path(critical.__file__).resolve().parents[1])
+    for choice in _kernel_choices():
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **choice}
+        child = subprocess.run([sys.executable, "-c", _SOLVE_IN_CHILD], input=stdin, env=env,
+                               capture_output=True, text=True, check=True)
+        assert [json.loads(line) for line in child.stdout.splitlines()] == want, choice
+
+
+@pytest.mark.parametrize("center, radius", [(0, 1), (-1j, 0.5)])
+@pytest.mark.parametrize("k", range(3, 13))
+def test_roots_of_unity_have_one_multiple_critical_point(center, radius, k):
+    # P = (z - c)^k - r^k, so P' = k (z - c)^(k-1): every point is the centre
+    roots = [center + radius * cmath.exp(2j * math.pi * j / k) for j in range(k)]
+    points = critical_points(from_roots(roots)).points
+    assert len(points) == k - 1
+    assert max(abs(b - center) for b in points) <= 1e-12 * max(abs(center), radius), points
 
 
 def _coincident_zeros(values):
