@@ -13,6 +13,7 @@ zeros, i.e. the measure of P(x)/(x - least zero).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,7 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _STIRLING_N_MAX = 120  # overflow policy: factorials stay comfortably in double range
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 still fails in range()
 def stirling_sum(n: int) -> float:
     """sqrt(2*pi) * sum_{k=1..n} e^-k k^(k+1/2), each term via its logarithm."""
     if not 1 <= n <= _STIRLING_N_MAX:
@@ -67,6 +69,7 @@ def stirling_sum(n: int) -> float:
     )
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def factorial_sum(n: int) -> float:
     """sum_{k=1..n} k!, exact integer arithmetic converted once at the end."""
     if not 1 <= n <= _STIRLING_N_MAX:
@@ -101,7 +104,7 @@ def _positive_real_setup(roots: RootsLike):
     values = rs.positive_reals()
     if rs.n < 2:
         raise ValueError(f"claim needs at least 2 zeros, got {rs.n}")
-    j = rs.min_modulus_index()
+    j = values.index(min(values))  # positive reals: the least modulus, ties to the first
     return rs, values, j, _rest_measure(values, j)
 
 

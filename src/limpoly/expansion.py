@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .measure import _rest_measure
-from .polynomials import RootMultiset, RootsLike, from_roots
+from .polynomials import RootMultiset, RootsLike, _product_coeffs
 
 __all__ = [
     "IndexBoundEntry",
@@ -59,8 +59,9 @@ def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> Lo
         gaps = tuple(center - v for i, v in enumerate(values) if i != center_index)
     if gaps:
         # y * prod (y - r_i): the product's coefficients are s_1..s_n directly.
-        product = from_roots(gaps)
-        coeffs = tuple(c.real for c in product.coeffs)
+        # They are taken in complex arithmetic, as from_roots takes them: its
+        # signed zeros (a repeated center gives -0.0) are those reported.
+        coeffs = tuple(c.real for c in _product_coeffs(tuple(map(complex, gaps))))
         if not all(map(math.isfinite, coeffs)):
             raise OverflowError("expansion coefficients are out of double range")
     else:
@@ -76,9 +77,8 @@ def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> Lo
 
 def local_expansion_min(roots: RootsLike) -> LocalExpansion:
     """Expand about the least zero (ties: smallest index); roots must be positive reals."""
-    rs = RootMultiset(roots)
-    values = rs.positive_reals()
-    return _expand_about(values, rs.min_modulus_index(), MINUS_FORM)
+    values = RootMultiset(roots).positive_reals()
+    return _expand_about(values, values.index(min(values)), MINUS_FORM)
 
 
 def local_expansion_max_plus(roots: RootsLike) -> LocalExpansion:

@@ -160,17 +160,22 @@ def _derive(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(map(operator.mul, range(1, len(coeffs)), coeffs[1:]))
 
 
-def from_roots(roots: RootsLike) -> MonicPolynomial:
-    """Expand prod(x - a_i), multiplying the factors in the given order."""
-    rs = RootMultiset(roots)
+def _product_coeffs(roots: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Ascending coefficients of prod(x - a) over complex a, factors multiplied in order."""
     coeffs = [1 + 0j]
-    for a in rs.roots:
+    for a in roots:
         nxt = [-a * coeffs[0]]
         for k in range(1, len(coeffs)):
             nxt.append(coeffs[k - 1] - a * coeffs[k])
         nxt.append(coeffs[-1])
         coeffs = nxt
-    return MonicPolynomial(tuple(coeffs), roots=rs)
+    return tuple(coeffs)
+
+
+def from_roots(roots: RootsLike) -> MonicPolynomial:
+    """Expand prod(x - a_i), multiplying the factors in the given order."""
+    rs = RootMultiset(roots)
+    return MonicPolynomial(_product_coeffs(rs.roots), roots=rs)
 
 
 def evaluate(p: MonicPolynomial, z: complex) -> complex:

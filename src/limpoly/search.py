@@ -5,8 +5,9 @@ Every sample owns its own counter-based random stream derived from
 range and merged back without changing a single draw.  Sample i of a
 sweep with seed s draws from Generator(Philox(SeedSequence(entropy=s,
 spawn_key=(i,)))): Philox4x64-10 from counter 0, keyed by that
-SeedSequence's first two 64-bit output words.  A sweep computes the
-seed's share of that key once and reseeds one generator per sample.
+SeedSequence's first two 64-bit output words.  A sweep starts from the
+seed's share of that key, derives the keys of its samples in numpy
+passes over blocks of samples, and reseeds one generator per sample.
 Reports are canonically serializable: identical config and seed give
 byte-identical JSON (wall time is kept out of the canonical form).
 """
@@ -51,10 +52,23 @@ RNG_ALGORITHM = "numpy-philox4x64-10/seedsequence"
 
 # SeedSequence's constants (numpy.random.bit_generator): the hash of words
 # entering the pool, the hash of words leaving it, and the pool mixer.
-_MASK32 = 0xFFFFFFFF
+_MASK32, _MASK64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# The entering hash constant once the four pool words are hashed and mixed
+# (16 steps); each index word then takes four steps, h to h m**4 (m = _MULT_A),
+# hashing lane d with h m**d and h m**(d + 1).  The five leaving constants
+# hash the four output words the same way.
+_POOL_HASH = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
+_MULT_A_4 = pow(_MULT_A, 4, 1 << 32)
+_LANE_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(5)], dtype=np.uint64)[:, None]
+_OUT_HASH = np.array(
+    [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5)], dtype=np.uint64
+)[:, None]
+# Samples whose keys are derived in one pass: memory stays bounded on any
+# sweep, and the pass's fixed cost is spread over the block.
+_KEY_BLOCK = 1024
 
 # Samples with no verdict: the solver ran out of sweeps, or a checked value left double range.
 SOLVER_FAILURE = "SOLVER_FAILURE"
@@ -208,21 +222,8 @@ def _instance_hash(roots: tuple[complex, ...]) -> str:
     return hashlib.sha256(canonical_dumps(list(roots)).encode("ascii")).hexdigest()
 
 
-def _hashmix(value: int, h: int, mult: int) -> tuple[int, int]:
-    """SeedSequence's word hash: the hashed word and the next hash constant."""
-    value ^= h
-    h = h * mult & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
 class _SampleStreams:
-    """One Philox generator, reseeded to the stream of any sample of one seed.
+    """One Philox generator, reseeded to the stream of each sample of a shard.
 
     The stream of sample i is Generator(Philox(SeedSequence(entropy=seed,
     spawn_key=(i,)))), reproduced exactly.  That SeedSequence pads the
@@ -230,45 +231,60 @@ class _SampleStreams:
     the pool, then mixes in the index's words: only that last part depends
     on i.  SeedSequence(seed) without a spawn key pads and hashes the same
     four words, so its pool is the one to start from.  The hash constant
-    has then run through 16 steps, so it too is known before the index is.
+    has then run through 16 steps, and it runs through four more for each
+    index word, so it too is known before the index is.
+
+    The keys of a shard are derived in numpy passes of up to _KEY_BLOCK
+    samples, with no per-sample Python: the pool is a (4, N) uint64 array,
+    one column per sample, and each hash or mix step is one whole-array
+    operation on 32-bit values held in 64 bits.  An index past 2**32 has
+    more words; as the indices ascend, the columns that take word w are
+    those from the first index at or past 2**(32 w) on.
     """
 
     def __init__(self, seed: int) -> None:
-        self._pool = tuple(np.random.SeedSequence(seed).pool.tolist())
-        self._hash = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
-        self._bitgen = np.random.Philox(0)  # reseeded before every draw
+        self._pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+        self._bitgen = np.random.Philox(0)  # reseeded before every sample
         self._rng = np.random.Generator(self._bitgen)
 
-    def key(self, index: int) -> tuple[int, int]:
-        """The two Philox key words, generate_state(2, uint64), of sample index."""
-        pool, h = self._pool, self._hash
-        while True:  # the index's 32-bit words, lowest first; index 0 is one word
-            word = index & _MASK32
-            mixed = []
-            for x in pool:
-                v, h = _hashmix(word, h, _MULT_A)
-                mixed.append(_mix(x, v))
-            pool = mixed
-            index >>= 32
-            if not index:
-                break
-        out, h = [], _INIT_B
-        for v in pool:
-            v, h = _hashmix(v, h, _MULT_B)
-            out.append(v)
-        return out[0] | out[1] << 32, out[2] | out[3] << 32
+    def keys(self, start: int, stop: int) -> list[list[int]]:
+        """The two Philox key words, generate_state(2, uint64), of samples start..stop-1."""
+        count = max(stop - start, 0)
+        low = np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK64)  # wraps at 2**64
+        pool, word, h = np.repeat(self._pool, count, axis=1), 0, _POOL_HASH
+        while (first := max((1 << 32 * word) - start, 0) if word else 0) < count:
+            if word < 2:
+                words = (low >> 32 if word else low) & _MASK32
+            else:  # past 2**64: the words of start >> 64, plus 1 on the columns that wrapped
+                high, shift = start >> 64, 32 * (word - 2)
+                words = np.where(low < low[0], np.uint64(high + 1 >> shift & _MASK32),
+                                 np.uint64(high >> shift & _MASK32))
+            consts = h * _LANE_POWERS & _MASK32
+            h = h * _MULT_A_4 & _MASK32
+            v = (words[first:] ^ consts[:4]) * consts[1:] & _MASK32
+            v ^= v >> 16
+            mixed = (_MIX_MULT_L * pool[:, first:] - _MIX_MULT_R * v) & _MASK32
+            pool[:, first:] = mixed ^ mixed >> 16
+            word += 1
+        out = (pool ^ _OUT_HASH[:4]) * _OUT_HASH[1:] & _MASK32
+        out ^= out >> 16
+        return (out[::2] | out[1::2] << 32).T.tolist()
 
-    def at(self, index: int) -> np.random.Generator:
-        """The generator, set to the start of sample index's stream."""
-        self._bitgen.state = {
+    def shard(self, start: int, stop: int):
+        """The generator, set in turn to the start of the stream of each sample start..stop-1."""
+        state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": self.key(index)},
+            "state": {"counter": (0, 0, 0, 0), "key": None},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return self._rng
+        for block in range(start, stop, _KEY_BLOCK):
+            for key in self.keys(block, min(block + _KEY_BLOCK, stop)):
+                state["state"]["key"] = key
+                self._bitgen.state = state
+                yield self._rng
 
 
 def _resolve_eps(policy: tuple[str, float], roots: RootMultiset, claim: ClaimId) -> float:
@@ -319,8 +335,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     policy = _parse_policy(config.epsilon_policy)
     streams = _SampleStreams(config.seed)
 
-    for index in range(start, end):
-        rng = streams.at(index)
+    for index, rng in enumerate(streams.shard(start, end), start):
         degree = int(rng.integers(config.degree_min, config.degree_max + 1))
         roots = generate_roots(config.distribution, degree, rng)
         second = None

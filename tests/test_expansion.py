@@ -162,6 +162,25 @@ def test_reconstruction_property(roots):
         assert abs(direct - series) <= 1e-9 * scale
 
 
+@st.composite
+def repeated_least(draw):
+    """Positive zeros whose least one appears at least twice, in a drawn order."""
+    least = draw(st.floats(min_value=1e-3, max_value=50.0))
+    above = st.floats(min_value=least, max_value=1e3, exclude_min=True)
+    zeros = [least] * draw(st.integers(2, 4)) + draw(st.lists(above, max_size=8))
+    return draw(st.permutations(zeros))
+
+
+@seed(20261022)
+@settings(max_examples=80, deadline=None)
+@given(roots=repeated_least())
+def test_expansion_keeps_the_signed_zeros_of_from_roots(roots):
+    exp = local_expansion_min(roots)
+    gaps = [v - exp.center for i, v in enumerate(roots) if i != exp.center_index]
+    assert 0.0 in gaps
+    assert repr(exp.coeffs) == repr(tuple(c.real for c in from_roots(gaps).coeffs))
+
+
 @seed(20240826)
 @settings(max_examples=80, deadline=None)
 @given(roots=positive_roots)

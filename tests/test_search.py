@@ -159,7 +159,7 @@ def _numpy_stream(seed, index):
 
 def _numpy_key(seed, index):
     state = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)
-    return tuple(int(w) for w in state)
+    return [int(w) for w in state]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -169,13 +169,35 @@ def test_sample_stream_keys_are_seedsequence_keys(seed):
     indices += [draws.getrandbits(bits) for bits in (8, 31, 32, 33, 63, 64) for _ in range(3)]
     streams = _SampleStreams(seed)
     for index in indices:
-        assert streams.key(index) == _numpy_key(seed, index), index
+        assert streams.keys(index, index + 1) == [_numpy_key(seed, index)], index
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**70))
 def test_sample_stream_keys_are_seedsequence_keys_property(seed, index):
-    assert _SampleStreams(seed).key(index) == _numpy_key(seed, index)
+    assert _SampleStreams(seed).keys(index, index + 1) == [_numpy_key(seed, index)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 - 1])
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (0, 9),  # index 0 is one zero word
+        (2**32 - 3, 2**32 + 4),  # one and two words in one call
+        (2**64 - 3, 2**64 + 4),  # two and three words, and the low word wraps
+        (2**32 - 2, 2**32 + 2**10),
+        (2**96 - 2, 2**96 + 2),  # three and four words
+        (2**70, 2**70 + 3),
+    ],
+)
+def test_sample_stream_keys_of_one_shard_are_seedsequence_keys(seed, start, stop):
+    keys = _SampleStreams(seed).keys(start, stop)
+    assert keys == [_numpy_key(seed, index) for index in range(start, stop)]
+
+
+def test_empty_shard_has_no_keys_and_no_samples():
+    assert _SampleStreams(3).keys(5, 5) == []
+    assert sum(run_search(INDEX_CFG, start=7, count=0).counts.values()) == 0
 
 
 def _draws(rng):
@@ -194,7 +216,11 @@ def _draws(rng):
 def test_reseeded_generator_draws_the_numpy_streams():
     streams = _SampleStreams(2**64 - 1)
     for index in (3, 2**32 - 1, 2**32, 2**40 + 7, 5):
-        assert _draws(streams.at(index)) == _draws(_numpy_stream(2**64 - 1, index)), index
+        (rng,) = streams.shard(index, index + 1)
+        assert _draws(rng) == _draws(_numpy_stream(2**64 - 1, index)), index
+    start = 2**32 - 2
+    for index, rng in enumerate(streams.shard(start, start + 4), start):
+        assert _draws(rng) == _draws(_numpy_stream(2**64 - 1, index)), index
 
 
 @pytest.mark.parametrize(
@@ -221,6 +247,26 @@ def test_search_shards_past_2_to_32_draw_the_numpy_zeros(monkeypatch, claim, dis
         second = generate_roots(dist, degree, rng) if claim == "product_prop" else None
         expected.append((first.roots, second))
     assert seen == expected
+
+
+def test_shard_longer_than_one_key_block_draws_the_numpy_streams():
+    start = 2**32 - search._KEY_BLOCK - 1  # the second block starts at 2**32 - 1
+    stop = start + search._KEY_BLOCK + 3
+    checked = {start, stop - 5, stop - 4, stop - 3, stop - 2, stop - 1}
+    streams = _SampleStreams(5)
+    for index, rng in enumerate(streams.shard(start, stop), start):
+        if index in checked:
+            assert _draws(rng) == _draws(_numpy_stream(5, index)), index
+            checked.remove(index)
+    assert not checked
+
+
+def test_search_longer_than_one_key_block_equals_a_merge_of_shards():
+    config = dataclasses.replace(INDEX_CFG, samples=2 * search._KEY_BLOCK + 50)
+    single = canonical_dumps(report_to_jsonable(run_search(config)))
+    bounds = (0, 700, 1500, config.samples)
+    shards = [run_search(config, start=a, count=b - a) for a, b in zip(bounds, bounds[1:])]
+    assert canonical_dumps(report_to_jsonable(merge_reports(shards))) == single
 
 
 def test_search_deterministic():
