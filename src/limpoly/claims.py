@@ -55,6 +55,12 @@ __all__ = [
     "stirling_sum",
 ]
 
+# The claims whose check takes eps; run_claim refuses them without one.
+CLAIMS_TAKING_EPS = frozenset({
+    ClaimId.BASIC_INEQUALITY, ClaimId.SQUEEZE, ClaimId.PERM_SUM_BOUND,
+    ClaimId.DERIV_SUM_BOUND, ClaimId.PRODUCT_PROP,
+})
+
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _STIRLING_N_MAX = 120  # overflow policy: factorials stay comfortably in double range
 
@@ -342,7 +348,9 @@ def run_claim(
     index_band: float = 1e-9,
 ) -> ClaimVerdict:
     """Dispatch one claim check; raises ValueError for missing parameters."""
-    cid = ClaimId(claim_id.upper()) if isinstance(claim_id, str) else claim_id
+    cid = claim_id if isinstance(claim_id, ClaimId) else ClaimId(claim_id.upper())
+    if eps is None and cid in CLAIMS_TAKING_EPS:
+        raise ValueError(f"{cid.value} needs eps")
     if cid is ClaimId.REAL_CASE:
         return check_real_case(roots, index_band=index_band)
     if cid is ClaimId.INDEX_BOUND:
@@ -350,11 +358,9 @@ def run_claim(
     if cid is ClaimId.PRODUCT_PROP:
         if second_roots is None:
             raise ValueError("PRODUCT_PROP needs a second root multiset")
-        if eps is None or delta is None:
-            raise ValueError("PRODUCT_PROP needs both eps and delta")
+        if delta is None:
+            raise ValueError("PRODUCT_PROP needs delta")
         return check_product_proposition(roots, second_roots, eps, delta)
-    if eps is None:
-        raise ValueError(f"{cid.value} needs eps")
     if cid is ClaimId.BASIC_INEQUALITY:
         return check_basic_inequality(roots, eps)
     if cid is ClaimId.SQUEEZE:

@@ -13,7 +13,7 @@ import os
 import re
 import sys
 
-from .claims import run_claim
+from .claims import CLAIMS_TAKING_EPS, run_claim
 from .critical import ConvergenceError, critical_points, sendov_distances
 from .expansion import (
     index_bound_check,
@@ -251,11 +251,10 @@ def _emit(report: dict, as_json: bool) -> None:
 # subcommands
 
 
-# The claims analyze checks, in report order, each with whether it needs eps.
+# The claims analyze checks, in report order.
 _ANALYZE_CLAIMS = (
-    (ClaimId.REAL_CASE, False), (ClaimId.INDEX_BOUND, False),
-    (ClaimId.BASIC_INEQUALITY, True), (ClaimId.SQUEEZE, True),
-    (ClaimId.PERM_SUM_BOUND, True), (ClaimId.DERIV_SUM_BOUND, True),
+    ClaimId.REAL_CASE, ClaimId.INDEX_BOUND, ClaimId.BASIC_INEQUALITY,
+    ClaimId.SQUEEZE, ClaimId.PERM_SUM_BOUND, ClaimId.DERIV_SUM_BOUND,
 )
 
 
@@ -264,9 +263,9 @@ def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) 
         reason = "not-positive-real" if not rs.is_positive_real() else "degree-1"
         return {cid.value.lower(): _skipped(reason) for cid in ClaimId}
     claims: dict = {}
-    for cid, needs_eps in _ANALYZE_CLAIMS:
+    for cid in _ANALYZE_CLAIMS:
         name = cid.value.lower()
-        if needs_eps and eps is None:
+        if eps is None and cid in CLAIMS_TAKING_EPS:
             claims[name] = _skipped("no-eps")
         else:
             try:

@@ -77,7 +77,8 @@ def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> Lo
 
 def local_expansion_min(roots: RootsLike) -> LocalExpansion:
     """Expand about the least zero (ties: smallest index); roots must be positive reals."""
-    values = RootMultiset(roots).positive_reals()
+    rs = roots if isinstance(roots, RootMultiset) else RootMultiset(roots)
+    values = rs.positive_reals()
     return _expand_about(values, values.index(min(values)), MINUS_FORM)
 
 
@@ -109,9 +110,11 @@ def index_bound_check(exp: LocalExpansion, roots: RootsLike) -> IndexBoundReport
     minus form: |coefficient| < prod of the non-center zeros;
     plus form:  |coefficient| < center^n.
     This is a claim check, not an invariant: the bound fails on known
-    inputs, so violations are reported rather than raised.
+    inputs, so violations are reported rather than raised.  A RootMultiset
+    is used as it is, so one the expansion was built from is not checked
+    again.
     """
-    rs = RootMultiset(roots)
+    rs = roots if isinstance(roots, RootMultiset) else RootMultiset(roots)
     values = rs.positive_reals()
     if exp.sign == MINUS_FORM:
         bound = _rest_measure(values, exp.center_index)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomials import RootMultiset, RootsLike
+from .polynomials import RootDomainError, RootMultiset, RootsLike
 from .verdicts import (
     ClaimId,
     ClaimVerdict,
@@ -39,11 +39,22 @@ def measure(roots: RootsLike) -> float:
     itself is outside double range: a product below the subnormal range
     rounds to 0.0 (measure([1e-200, 1e-200]) is 0.0, the correctly
     rounded value), and one above the largest double raises OverflowError.
+
+    The moduli are taken as given, with no RootMultiset built around
+    them; an empty or non-finite input is rejected as RootMultiset
+    rejects it.  A non-finite root leaves the mantissa non-finite
+    (0 * inf is nan), so one check after the loop finds it.
     """
+    values = roots.roots if isinstance(roots, RootMultiset) else tuple(roots)
+    if not values:
+        raise ValueError("a root multiset needs at least one root")
     mantissa, exponent = 1.0, 0
-    for m in map(abs, RootMultiset(roots).roots):
+    for m in map(abs, values):
         mantissa, e = math.frexp(mantissa * m)
         exponent += e
+    if not math.isfinite(mantissa):
+        i = next(i for i, m in enumerate(map(abs, values)) if not math.isfinite(m))
+        raise RootDomainError(i, complex(values[i]), "finite")
     try:
         return math.ldexp(mantissa, exponent)
     except OverflowError:
@@ -62,7 +73,7 @@ def _require_nonnegative_finite(name: str, value: float) -> None:
 
 def _rest_measure(values, j: int) -> float:
     """Measure of every zero but #j; 1.0 when none is left."""
-    rest = [v for i, v in enumerate(values) if i != j]
+    rest = values[:j] + values[j + 1 :]
     return measure(rest) if rest else 1.0
 
 
@@ -121,8 +132,7 @@ def check_product_proposition(
     rq = RootMultiset(q_roots)
     mp = measure(rp)
     mq = measure(rq)
-    combined = RootMultiset(rp.roots + rq.roots)
-    m_prod = measure(combined)
+    m_prod = measure(rp.roots + rq.roots)
 
     disjoint = not set(rp.roots) & set(rq.roots)
     hypotheses = (

@@ -10,6 +10,7 @@ whole module is safe to call concurrently.
 from __future__ import annotations
 
 import cmath
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -105,7 +106,14 @@ class RootMultiset:
         return tuple(r.real for r in self.roots)
 
     def positive_reals(self) -> tuple[float, ...]:
-        """The positive-real view; rejects any root off the open positive axis."""
+        """The positive-real view; rejects any root off the open positive axis.
+
+        Checked once per multiset: later calls return the first view.
+        """
+        return self._positive_reals
+
+    @functools.cached_property
+    def _positive_reals(self) -> tuple[float, ...]:
         for i, r in enumerate(self.roots):
             if r.imag != 0.0 or r.real <= 0.0:
                 raise RootDomainError(i, r, "a positive real")

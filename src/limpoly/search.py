@@ -15,7 +15,9 @@ byte-identical JSON (wall time is kept out of the canonical form).
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
+import heapq
 import math
 import sys
 import time
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import _STIRLING_N_MAX, run_claim
+from .claims import _STIRLING_N_MAX, CLAIMS_TAKING_EPS, run_claim
 from .critical import ConvergenceError, CriticalSet, critical_points
 from .measure import _require_nonnegative_finite, _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
@@ -85,6 +87,7 @@ _LOG_MIN = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+@functools.lru_cache(maxsize=64)  # a sweep draws with one spec: parse it once, not per draw
 def _parse_distribution(spec: str):
     kind, _, rest = spec.partition(":")
     if kind not in _DISTRIBUTION_KINDS:
@@ -93,7 +96,7 @@ def _parse_distribution(spec: str):
         )
     parts = rest.split(",") if rest else []
     try:
-        params = [float(p) for p in parts]
+        params = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"malformed distribution parameters in {spec!r}") from None
     if kind in ("uniform", "log-uniform"):
@@ -302,10 +305,18 @@ def _empty_counts() -> dict:
     return counts
 
 
+def _lowest(records, cap: int) -> list:
+    """The cap records of lowest instance hash, ties in their given order.
+
+    heapq.nsmallest is sorted(...)[:cap], holding only cap records at a time.
+    """
+    return heapq.nsmallest(cap, records, key=lambda r: r.instance_hash)
+
+
 def _capped(config, counts, histograms, records, overflow, wall) -> SearchReport:
     # Keep the cap lowest instance hashes and count the rest as overflow.  Sweeps
     # and merges both end here, so shard-then-merge equals single-shot.
-    kept = sorted(records, key=lambda r: r.instance_hash)[: config.counterexample_cap]
+    kept = _lowest(records, config.counterexample_cap)
     return SearchReport(
         config=config,
         counts=counts,
@@ -331,8 +342,12 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     began = time.perf_counter()
     counts = _empty_counts()
     histograms: dict[int, list[int]] = {}
+    # Counterexamples beyond twice the cap are cut back to the cap as they
+    # come, so a sweep's memory is bounded by its cap, not by its samples.
     found: list[CounterexampleRecord] = []
+    cap, dropped = config.counterexample_cap, 0
     policy = _parse_policy(config.epsilon_policy)
+    takes_eps = config.claim_id in CLAIMS_TAKING_EPS
     streams = _SampleStreams(config.seed)
 
     for index, rng in enumerate(streams.shard(start, end), start):
@@ -341,7 +356,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
         second = None
         if config.claim_id is ClaimId.PRODUCT_PROP:
             second = generate_roots(config.distribution, degree, rng)
-        eps = _resolve_eps(policy, roots, config.claim_id)
+        eps = _resolve_eps(policy, roots, config.claim_id) if takes_eps else None
         delta = config.delta if second is None else _resolve_eps(policy, second, config.claim_id)
         try:
             verdict = run_claim(
@@ -368,8 +383,11 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
                     instance_hash=_instance_hash(logged),
                 )
             )
+            if len(found) > 2 * cap:
+                dropped += len(found) - cap
+                found = _lowest(found, cap)
 
-    return _capped(config, counts, histograms, found, 0, time.perf_counter() - began)
+    return _capped(config, counts, histograms, found, dropped, time.perf_counter() - began)
 
 
 def merge_reports(reports) -> SearchReport:

@@ -27,6 +27,8 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, complex):  # numpy.complex128 too
         return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -35,8 +37,6 @@ def to_jsonable(obj):
         }
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
     if isinstance(obj, (int, float, str)):  # subclasses, such as numpy.float64
         return obj
     if hasattr(obj, "item"):  # numpy scalars

@@ -7,6 +7,7 @@ import pytest
 from limpoly import (
     ClaimId,
     Classification,
+    RootDomainError,
     check_basic_inequality,
     check_deriv_sum_bound,
     check_index_bound,
@@ -25,6 +26,7 @@ from limpoly import (
     stirling_bound_compare,
     stirling_sum,
 )
+from limpoly.claims import CLAIMS_TAKING_EPS
 from limpoly.verdicts import conclusion_check, hypothesis_check
 
 
@@ -387,6 +389,28 @@ def test_run_claim_dispatch_and_validation():
         run_claim("product_prop", [1, 2], eps=1, delta=1)  # second multiset missing
     verdict = run_claim("product_prop", [0.5], eps=1, delta=1, second_roots=[0.5])
     assert verdict.claim_id is ClaimId.PRODUCT_PROP
+
+
+@pytest.mark.parametrize("cid", list(ClaimId), ids=[c.value for c in ClaimId])
+def test_run_claim_asks_for_eps_exactly_for_the_claims_taking_it(cid):
+    kwargs = {"delta": 1.0}
+    if cid is ClaimId.PRODUCT_PROP:
+        kwargs["second_roots"] = [0.5, 2.0]
+    if cid in CLAIMS_TAKING_EPS:
+        with pytest.raises(ValueError, match="needs eps"):
+            run_claim(cid, [0.5, 2.0], **kwargs)
+        assert run_claim(cid, [0.5, 2.0], eps=1.0, **kwargs).claim_id is cid
+    else:
+        assert run_claim(cid, [0.5, 2.0], **kwargs).claim_id is cid
+
+
+@pytest.mark.parametrize("claim", ["index_bound", ClaimId.INDEX_BOUND])
+@pytest.mark.parametrize("bad, index", [([1.0, 0.0, 2.0], 1), ([0.5, -3.0], 1), ([-1.0, 2.0], 0)])
+def test_run_claim_rejects_a_non_positive_zero_as_a_root_domain_error(claim, bad, index):
+    with pytest.raises(RootDomainError, match="positive real") as info:
+        run_claim(claim, bad)
+    assert info.value.index == index
+    assert run_claim(claim, [1.0, 2.0]).claim_id is ClaimId.INDEX_BOUND
 
 
 @pytest.mark.parametrize("claim", ["basic_inequality", "squeeze", "perm_sum_bound",

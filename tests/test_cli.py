@@ -336,6 +336,24 @@ def test_search_zero_samples_usage_error(capsys):
     assert "samples" in err
 
 
+@pytest.mark.parametrize(
+    "dist, word",
+    [("gaussian:0,1", "unknown distribution"), ("uniform:a,b", "malformed"),
+     ("uniform:2", "lo,hi"), ("log-uniform:2,1", "0 < lo <= hi"), ("complex-disk:0", "radius")],
+)
+def test_search_bad_dist_is_a_one_line_error_every_time(capsys, dist, word):
+    # a spec is parsed once and kept; a spec that fails to parse fails again on every call
+    for _ in range(2):
+        code, out, err = run_cli(
+            capsys, "search", "--claim", "index_bound", "--degree", "3", "--samples", "5",
+            "--seed", "1", "--dist", dist,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("limpoly search: error:") and word in err
+
+
 def test_search_degree_beyond_stirling_range_usage_error(capsys):
     code, out, err = run_cli(
         capsys,

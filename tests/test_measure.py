@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from limpoly import (
     DEFAULT_TOL,
     Classification,
+    RootDomainError,
     RootMultiset,
     check_product_proposition,
     conjugate_roots,
@@ -34,6 +35,29 @@ def test_measure_log_domain_extremes():
     big = [2.0] * 64
     assert measure(big) == pytest.approx(2.0**64, rel=1e-10)
     assert abs(measure([1e200, 1e200, 1e-300]) - 1e100) <= 4 * math.ulp(1e100)
+
+
+@pytest.mark.parametrize(
+    "roots, index",
+    [([math.inf], 0), ([math.nan, 1.0], 0), ([0.0, math.inf], 1),
+     ([2.0, 1e-300, complex(1, math.nan)], 2)],
+)
+@pytest.mark.parametrize("wrap", [list, tuple, iter])
+def test_measure_rejects_non_finite_roots_as_root_multiset_does(roots, index, wrap):
+    # measure builds no RootMultiset, but rejects what it would reject, naming the first bad root
+    with pytest.raises(RootDomainError, match="finite") as info:
+        measure(wrap(roots))
+    assert info.value.index == index
+    assert repr(info.value.root) == repr(complex(roots[index]))
+    with pytest.raises(RootDomainError) as built:
+        RootMultiset(roots)
+    assert str(built.value) == str(info.value)
+
+
+@pytest.mark.parametrize("empty", [[], (), iter([])])
+def test_measure_of_no_roots_is_a_value_error(empty):
+    with pytest.raises(ValueError, match="at least one root"):
+        measure(empty)
 
 
 def test_is_epsilon_limited_strict():

@@ -118,6 +118,18 @@ def test_root_multiset_validation():
         RootMultiset([1, -2]).positive_reals()
 
 
+def test_positive_reals_is_checked_once_and_refused_every_time():
+    rs = RootMultiset([2.0, 0.5])
+    assert rs.positive_reals() == (2.0, 0.5)
+    assert rs.positive_reals() is rs.positive_reals()
+    assert rs == RootMultiset([2.0, 0.5]) and hash(rs) == hash(RootMultiset([2.0, 0.5]))
+    bad = RootMultiset([1.0, -2.0])
+    for _ in range(2):
+        with pytest.raises(RootDomainError) as info:
+            bad.positive_reals()
+        assert info.value.index == 1
+
+
 def test_min_modulus_index_takes_the_first_of_equal_moduli():
     assert RootMultiset([2, -1, 1j, 1]).min_modulus_index() == 1
     assert RootMultiset([3, 1j, -1j, 1]).min_modulus_index() == 1

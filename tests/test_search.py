@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import random
+import tracemalloc
 
+import bench_workloads
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from scipy import stats
 from limpoly import (
     ClaimId,
     CriticalSet,
+    RootMultiset,
     SearchConfig,
     canonical_dumps,
     complex_pullback_check,
@@ -373,6 +377,92 @@ def test_counterexample_cap_and_overflow():
     assert small.overflow == report.counts["COUNTEREXAMPLE"] - 5
     hashes = [r.instance_hash for r in small.counterexamples]
     assert hashes == sorted(hashes)
+
+
+def _canonical_records(records):
+    return canonical_dumps([dataclasses.asdict(r) for r in records])
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["sha256", "ties"])
+def test_a_capped_sweep_keeps_its_lowest_hashes_as_sorted_then_cut(monkeypatch, coarse):
+    if coarse:
+        # one hex digit: about 60 records share each hash, so ties decide what is kept
+        monkeypatch.setattr(search, "_instance_hash", lambda roots: hashlib.sha256(
+            canonical_dumps(list(roots)).encode("ascii")).hexdigest()[:1])
+    config = dataclasses.replace(INDEX_CFG, samples=1000, counterexample_cap=1000)
+    everything = run_search(config)
+    assert everything.overflow == 0
+    arrived = sorted(everything.counterexamples, key=lambda r: r.sample_index)
+    for cap in (0, 1, 7, 100, 999):
+        capped = run_search(dataclasses.replace(config, counterexample_cap=cap))
+        expected = sorted(arrived, key=lambda r: r.instance_hash)[:cap]
+        assert _canonical_records(capped.counterexamples) == _canonical_records(expected)
+        assert capped.overflow == len(arrived) - len(expected)
+        assert capped.counts == everything.counts
+
+
+def test_a_sweeps_memory_is_bounded_by_its_cap():
+    # about 93 % of these samples are counterexamples; the cap keeps 10 of them
+    config = dataclasses.replace(INDEX_CFG, samples=10**6, counterexample_cap=10)
+    run_search(config, 0, 50)  # first-call set-up stays out of the peaks
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            run_search(config, 0, count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block, three_blocks = peak(search._KEY_BLOCK), peak(3 * search._KEY_BLOCK)
+    # keeping every counterexample until the end took about 1.1 kB each: 2.2 MB more here
+    assert three_blocks - one_block < 200_000, (one_block, three_blocks)
+
+
+@pytest.mark.parametrize(
+    "claim, lo, hi, dist", bench_workloads.CHEAP_CLAIMS,
+    ids=[c[0] for c in bench_workloads.CHEAP_CLAIMS],
+)
+def test_a_sweep_coerces_each_drawn_multiset_once(monkeypatch, claim, lo, hi, dist):
+    # Values are validated once, where they are drawn; later steps take the
+    # RootMultiset or its plain tuples and build no new one from raw values.
+    coerced = []
+    post_init = RootMultiset.__post_init__
+
+    def counted(self):
+        if not isinstance(self.roots, RootMultiset):
+            coerced.append(self.roots)
+        post_init(self)
+
+    monkeypatch.setattr(RootMultiset, "__post_init__", counted)
+    config = SearchConfig(
+        claim_id=claim, degree_min=lo, degree_max=hi, samples=200, seed=5, distribution=dist,
+    )
+    report = run_search(config)
+    assert sum(report.counts.values()) == 200
+    assert len(coerced) == 200 * (2 if claim == "PRODUCT_PROP" else 1)
+
+
+@pytest.mark.parametrize("claim", ["INDEX_BOUND", "REAL_CASE", "BASIC_INEQUALITY"])
+def test_a_sweep_checks_each_drawn_multiset_positive_real_once(monkeypatch, claim):
+    # The expansion and the bound about it read one checked view of the zeros.
+    checked = []
+    view = RootMultiset.__dict__["_positive_reals"]
+
+    def counted(self):
+        checked.append(self.roots)
+        return view.func(self)
+
+    counted_view = functools.cached_property(counted)
+    counted_view.__set_name__(RootMultiset, "_positive_reals")
+    monkeypatch.setattr(RootMultiset, "_positive_reals", counted_view)
+    config = SearchConfig(
+        claim_id=claim, degree_min=2, degree_max=6, samples=200, seed=5,
+        distribution="uniform:0.05,2",
+    )
+    report = run_search(config)
+    assert sum(report.counts.values()) == 200
+    assert len(checked) == 200
 
 
 def test_fixed_eps_policy():
