@@ -36,6 +36,7 @@ from .expansion import (
     local_expansion_max_plus,
     local_expansion_min,
     min_pair_lemma,
+    taylor_shift,
 )
 from .measure import (
     Limitedness,
@@ -53,11 +54,8 @@ from .polynomials import (
     Tolerance,
     derivative,
     derivative_at_order,
-    evaluate,
-    evaluation_scale,
     from_roots,
     permutation_sum_derivative,
-    taylor_shift,
 )
 from .search import (
     RNG_ALGORITHM,

@@ -147,8 +147,7 @@ def check_real_case(roots: RootsLike, index_band: float = 1e-9) -> ClaimVerdict:
     crit = critical_points(from_roots(rs))
     center = values[j]
     distances = [abs(center - b) for b in crit.points]
-    max_distance = max(distances)
-    concl = conclusion_check(max_distance, 1.0)
+    concl = conclusion_check(max(distances), 1.0)
     return build_verdict(
         ClaimId.REAL_CASE,
         (h_limited, h_index),
@@ -158,7 +157,6 @@ def check_real_case(roots: RootsLike, index_band: float = 1e-9) -> ClaimVerdict:
         coefficient_magnitudes=magnitudes,
         index_band=index_band,
         critical_distances=distances,
-        max_distance=max_distance,
     )
 
 
@@ -247,20 +245,11 @@ def check_perm_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
     """Product-rule value of P' at the least zero against eps * sqrt(2*pi)/e.
 
     The product-rule sum collapses at the least zero to the product of
-    (least zero - other zero); that internal identity is verified and
-    reported alongside the bound check.
+    (least zero - other zero).
     """
     rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
-
-    value = permutation_sum_derivative(rs, center)
-    attained = abs(value)
-    direct = 1.0
-    for i, v in enumerate(values):
-        if i != j:
-            direct *= center - v
-    identity_scale = max(attained, abs(direct), 1.0)
-    identity_rel_err = abs(value - direct) / identity_scale
+    attained = abs(permutation_sum_derivative(rs, center))
 
     bound = eps * _SQRT_TWO_PI / math.e
     concl = conclusion_check(attained, bound)
@@ -272,7 +261,6 @@ def check_perm_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
         rest_product=rest_product,
         attained=attained,
         bound=bound,
-        product_identity_rel_err=identity_rel_err,
     )
 
 
@@ -333,8 +321,6 @@ def check_index_bound(roots: RootsLike) -> ClaimVerdict:
         center=exp.center,
         bound=report.bound,
         magnitudes=[e.magnitude for e in report.entries],
-        violating_orders=[e.order for e in report.entries if not e.holds],
-        vacuous=not report.entries,
     )
 
 

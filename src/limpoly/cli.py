@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -19,6 +18,7 @@ from .expansion import (
     index_bound_check,
     local_expansion_max_plus,
     local_expansion_min,
+    taylor_shift,
 )
 from .measure import (
     _require_nonnegative_finite,
@@ -30,7 +30,6 @@ from .polynomials import (
     DEFAULT_TOL,
     RootMultiset,
     from_roots,
-    taylor_shift,
 )
 from .search import (
     RNG_ALGORITHM,
@@ -46,8 +45,7 @@ from .verdicts import ClaimId, Classification
 __all__ = ["main", "parse_complex", "parse_roots"]
 
 # Each command's document layout; a version moves whenever that command's fields change.
-SCHEMA_VERSION = {"analyze": "3", "expand": "2", "search": "2", "verify": "2"}
-SEED_ENV_VAR = "LIMPOLY_SEED"
+SCHEMA_VERSION = {"analyze": "4", "expand": "3", "search": "3", "verify": "3"}
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^(?P<real>[+-]?{_FLOAT})(?:(?P<imag>[+-]{_FLOAT})i)?$")
@@ -340,26 +338,15 @@ def _cmd_verify(args) -> int:
     return 2 if verdict.classification is Classification.COUNTEREXAMPLE else 0
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _cmd_search(args) -> int:
     cid = _claim_from_name(args.claim)
     degree_min, degree_max = _parse_degree_range(args.degree)
-    seed = args.seed if args.seed is not None else _default_seed()
     config = SearchConfig(
         claim_id=cid,
         degree_min=degree_min,
         degree_max=degree_max,
         samples=args.samples,
-        seed=seed,
+        seed=args.seed,
         distribution=args.dist,
         epsilon_policy=args.eps_policy,
         delta=args.delta,
@@ -374,7 +361,7 @@ def _cmd_search(args) -> int:
 
     results = {"search": report_to_jsonable(report)}
     diagnostics = {"rng_algorithm": RNG_ALGORITHM}
-    _emit(_report(args, results, diagnostics, claim=cid.value, seed=seed), args.json)
+    _emit(_report(args, results, diagnostics, claim=cid.value), args.json)
     found = report.counts.get(Classification.COUNTEREXAMPLE.value, 0)
     return 2 if found > 0 else 0
 
@@ -393,10 +380,9 @@ def _cmd_expand(args) -> int:
             raise UsageError(f"bad center value in {selector!r}") from None
         if not math.isfinite(center):
             raise UsageError(f"center value must be finite, got {selector!r}")
-        shifted = taylor_shift(from_roots(rs), center)
         results = {
             "center": center,
-            "shift_coefficients": shifted,
+            "shift_coefficients": taylor_shift(rs, center),
             "index_bound": _skipped("non-extremal-center"),
         }
     else:
@@ -464,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", required=True)
     p.add_argument("--degree", default="2-6", help="N or MIN-MAX")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help=f"default ${SEED_ENV_VAR} or 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dist", default="log-uniform:0.001,1000")
     p.add_argument("--eps-policy", default="measure-times:1.01")
     p.add_argument("--cap", type=int, default=100)

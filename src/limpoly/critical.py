@@ -110,7 +110,7 @@ class CriticalSet:
 
 
 def _scaled_residual(coeffs, z: complex) -> float:
-    scale = _evaluation_scale(coeffs, z)  # coeffs is complex already: no public re-coercion
+    scale = _evaluation_scale(coeffs, z)
     if scale == 0.0:
         return 0.0
     return abs(_horner(coeffs, z)) / scale

@@ -1,4 +1,8 @@
-"""Local expansion of a positive-real-zero polynomial about an extremal zero.
+"""Expansions of prod(x - a_i) about a point, taken from the zeros.
+
+taylor_shift rewrites the product about any center c as the product of
+(y - (a_i - c)) with y = x - c.  The local expansions below are the same
+product about an extremal zero, with the center's own factor y left out.
 
 prod(x - a_i) is rewritten as sum_{k=1..n} s_k y^k with y = x - a_j and
 a_j the least zero (minus form); prod(x + a_i) is rewritten the same way
@@ -11,7 +15,7 @@ zeros.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 from .measure import _rest_measure
@@ -25,6 +29,7 @@ __all__ = [
     "local_expansion_max_plus",
     "local_expansion_min",
     "min_pair_lemma",
+    "taylor_shift",
 ]
 
 MINUS_FORM = "minus"
@@ -51,6 +56,25 @@ class LocalExpansion:
         return len(self.coeffs)
 
 
+def _gap_product(gaps: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Ascending coefficients of prod(y - g) over the gaps; OverflowError if one is not finite."""
+    coeffs = _product_coeffs(gaps)
+    if not all(map(cmath.isfinite, coeffs)):
+        raise OverflowError("expansion coefficients are out of double range")
+    return coeffs
+
+
+def taylor_shift(roots: RootsLike, center: complex) -> tuple[complex, ...]:
+    """Coefficients t_0..t_n with prod(x - a_i) = sum t_k (x - center)^k.
+
+    The coefficients of prod(y - (a_i - center)), multiplied in the given
+    order; t_n is exactly 1.  At any center, each t_k is off by about n
+    units of roundoff of e_{n-k}(|a_i - center|) at most.
+    """
+    c = complex(center)
+    return _gap_product(tuple(a - c for a in RootMultiset(roots)))
+
+
 def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> LocalExpansion:
     center = values[center_index]
     if sign == MINUS_FORM:
@@ -61,9 +85,7 @@ def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> Lo
         # y * prod (y - r_i): the product's coefficients are s_1..s_n directly.
         # They are taken in complex arithmetic, as from_roots takes them: its
         # signed zeros (a repeated center gives -0.0) are those reported.
-        coeffs = tuple(c.real for c in _product_coeffs(tuple(map(complex, gaps))))
-        if not all(map(math.isfinite, coeffs)):
-            raise OverflowError("expansion coefficients are out of double range")
+        coeffs = tuple(c.real for c in _gap_product(tuple(map(complex, gaps))))
     else:
         coeffs = (1.0,)
     return LocalExpansion(
@@ -101,7 +123,6 @@ class IndexBoundEntry:
 class IndexBoundReport:
     entries: tuple[IndexBoundEntry, ...]
     bound: float
-    all_hold: bool
 
 
 def index_bound_check(exp: LocalExpansion, roots: RootsLike) -> IndexBoundReport:
@@ -127,7 +148,6 @@ def index_bound_check(exp: LocalExpansion, roots: RootsLike) -> IndexBoundReport
     return IndexBoundReport(
         entries=tuple(entries),
         bound=bound,
-        all_hold=all(e.holds for e in entries),
     )
 
 

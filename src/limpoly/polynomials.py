@@ -23,11 +23,8 @@ __all__ = [
     "Tolerance",
     "derivative",
     "derivative_at_order",
-    "evaluate",
-    "evaluation_scale",
     "from_roots",
     "permutation_sum_derivative",
-    "taylor_shift",
 ]
 
 
@@ -151,12 +148,6 @@ class MonicPolynomial:
         return len(self.coeffs) - 1
 
 
-def _coeffs_of(p) -> tuple[complex, ...]:
-    if isinstance(p, MonicPolynomial):
-        return p.coeffs
-    return tuple(complex(c) for c in p)
-
-
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
@@ -186,22 +177,8 @@ def from_roots(roots: RootsLike) -> MonicPolynomial:
     return MonicPolynomial(_product_coeffs(rs.roots), roots=rs)
 
 
-def evaluate(p: MonicPolynomial, z: complex) -> complex:
-    """P(z) by the Horner scheme."""
-    return _horner(_coeffs_of(p), complex(z))
-
-
-def evaluation_scale(p, z: complex) -> float:
-    """sum |c_k| * max(1, |z|)^k.
-
-    The natural magnitude against which an evaluation residual at z
-    should be judged; a computed value within roundoff of zero has
-    |residual| of order machine epsilon times this scale.
-    """
-    return _evaluation_scale(_coeffs_of(p), complex(z))
-
-
 def _evaluation_scale(coeffs: Sequence[complex], z: complex) -> float:
+    """sum |c_k| * max(1, |z|)^k: the scale against which a residual at z is judged."""
     base = max(1.0, abs(z))
     scale = 0.0
     power = 1.0
@@ -211,52 +188,24 @@ def _evaluation_scale(coeffs: Sequence[complex], z: complex) -> float:
     return scale
 
 
-def derivative(p) -> tuple[complex, ...]:
+def derivative(p: MonicPolynomial) -> tuple[complex, ...]:
     """Coefficient vector of P': one degree lower, leading coefficient n (not monic)."""
-    cs = _coeffs_of(p)
-    if len(cs) < 2:
-        raise ValueError("degree must be at least 1")
-    return _derive(cs)
+    return _derive(p.coeffs)
 
 
-def derivative_at_order(p, s: int, z: complex) -> complex:
+def derivative_at_order(p: MonicPolynomial, s: int, z: complex) -> complex:
     """Value of the s-th derivative at z, by s-fold differentiation then Horner.
 
     s = 0 evaluates P itself; any s beyond the degree returns exact 0.
     """
     if s < 0:
         raise ValueError("derivative order must be nonnegative")
-    cs = _coeffs_of(p)
+    cs = p.coeffs
     if s >= len(cs):
         return 0j
     for _ in range(s):
         cs = _derive(cs)
     return _horner(cs, complex(z))
-
-
-def taylor_shift(p, c: complex) -> tuple[complex, ...]:
-    """Coefficients t_0..t_n with P(x) = sum t_k (x - c)^k.
-
-    Computed by repeated synthetic division by (x - c); the leading
-    coefficient passes through each division untouched, so t_n is
-    exactly 1 for monic input.  Raises OverflowError when a coefficient
-    is not finite.
-    """
-    cs = list(_coeffs_of(p))
-    center = complex(c)
-    out = []
-    while cs:
-        acc = cs[-1]
-        quotient = []
-        for j in range(len(cs) - 2, -1, -1):
-            quotient.append(acc)
-            acc = cs[j] + center * acc
-        out.append(acc)
-        quotient.reverse()
-        cs = quotient
-    if not all(map(cmath.isfinite, out)):
-        raise OverflowError("shift coefficients are out of double range")
-    return tuple(out)
 
 
 def permutation_sum_derivative(roots: RootsLike, z: complex) -> complex:

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 Nothing here imports the code paths under test: expansions are redone
-with exact rational arithmetic, elementary symmetric values come from
+with exact rational arithmetic, polynomial values are taken at 60
+digits with mpmath, elementary symmetric values come from
 the textbook recurrence, hull containment is a from-scratch
 monotone-chain construction, and real derivative zeros are bisected at
 60 digits with mpmath.  bisection_interval_zero is the double-precision
@@ -31,6 +32,19 @@ def exact_poly_from_roots(roots):
         nxt.append(coeffs[-1])
         coeffs = nxt
     return coeffs
+
+
+def product_value(roots, z):
+    """prod(z - r_i) at 60 digits with mpmath, rounded once to a Python complex."""
+    with mpmath.workdps(60):
+        value = mpmath.fprod(mpmath.mpc(z) - mpmath.mpc(r) for r in roots)
+        return complex(value)
+
+
+def coefficient_value(coeffs, z):
+    """sum c_k z^k over ascending coefficients at 60 digits, rounded once to a complex."""
+    with mpmath.workdps(60):
+        return complex(mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], mpmath.mpc(z)))
 
 
 def bisection_on_sign(sign, lo, hi):

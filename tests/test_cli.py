@@ -48,7 +48,7 @@ def test_analyze_cubic_json(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert report["command"] == "analyze"
     results = report["results"]
     assert results["measure"] == pytest.approx(6.0)
@@ -199,41 +199,41 @@ def test_analyze_json_round_trip(capsys):
 # with a CHANGES.md entry saying why the output changed.
 PINNED_JSON = {
     "analyze --roots 1,2,3 --eps 7":
-        "142982ab4b8e43ea9947a5dde59b10e570710a1b77d49a7330921c9bcabf9e38",
+        "c199d143a9c632513e98e501d2dd589ca3add1c6c6d3494d1defb5d09ae753b8",
     "analyze --roots 0.001,0.001,500 --eps 1":
-        "05a7c32d0da6b3fc9fdc7cc500fc7cb2d59f292abc8ba47240716821b992600b",
+        "ce25a97ded14db4aebe629d98abd6f2d8080fcf2767cb235881345dd8da969ce",
     "analyze --roots 1+1i,2":
-        "4be9085221ef35663e479d7e713653163fb117c43565209a34be4938559784f9",
+        "90a62d3e914c22176125b7eefdc9ceb5a051c3b11c84026777655eec122e2789",
     "verify --claim real_case --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "39b61aef9e2174d7069093888b562ab53b44c51172fe298a13877879a6c781e8",
+        "35e467c483b343b8f7808baeeed2e63995ecf149ae5d4ee5e9425d7f121e7fb3",
     "verify --claim index_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "67fd4da11a4d7bfdad0edbcb103da486d926273918ca74019978a261029b96bb",
+        "13c2642bde3392820c46ebb00731c609e4bcf4b8953806642c535d529209d1c9",
     "verify --claim basic_inequality --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "55abc6c61f7ca09a2d8edf7c76cdd7d9e2cb952505821ad84a36ae05af32ccb8",
+        "3e15f244816467960e75c9057957ba49c381c14a76ac501f1536ff27a34e9b15",
     "verify --claim squeeze --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "179c78c617475ffa25b8b5aafb6c755a1d2e3de038e835f60da496775182d38d",
+        "de6eaa406de804c8e0d41d5ffae4642d13746ece79a53974e03d12e04b817d85",
     "verify --claim perm_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "5d463c734e79ac05274bfb9b388b0e3c47f8c08f0af7995ab4a82d1e9aa75a31",
+        "f964e7a1fab70261cf672daf8f9567d21b4680aaf50a38954509505e448b16e2",
     "verify --claim deriv_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "45f910f4ece94e77500495c51ee273bd13362799c78749a3e5be737fffd93020",
+        "d4bf87fe82320759ed971e31cd436b281eb29e3f757782615d5f474989647a6d",
     "verify --claim product_prop --roots 0.1,0.2,0.3 --roots2 0.5,2 --eps 1 --delta 1":
-        "bd940c89457e7493aed7a0dd1d28ef248095588c2957fe2b537bd4d16f96d189",
+        "77320e0b03a17d6c26772fe338f8a45d9289152974f0bf6a2efae5ef283870f2",
     "expand --roots 1,2,3 --center min":
-        "e301fffe5e80eca8009f5a9331ca4c31a892c6774e21088ebb785ceed0887052",
+        "141d7d27633c2cc29e48a05af3f307bbcc958ac02650bf7c1595d753deb357c5",
     "expand --roots 1,2,3 --center max-plus":
-        "25cb3e1cf4b7a1bf352df8df1f44921fdd4fd2ba8f101d3c6066680caeccac56",
+        "f81af1d8695eaf608d09e0864c8a2d89241cf52b2db99a9c914acd3bf9746ae4",
     "expand --roots 1,2,3 --center value:0.5":
-        "c6c668734eae41b33e8ccae0b5fed16722a3131a0f8266f6002a8e1708222f98",
+        "7fd65a33ce2b00394b6acf249ce5d6487730b2b6f8323cd1278cc94ee0bca76b",
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
-        "eb7e58e42dc6145aa1f0a2784fc4d7f7d7a6e6601eb62b28bb615991618805bb",
+        "d54dddca0c7fb10577ba1512460b73c3be8d28504d916b645b5f196727397f93",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
-        "06acc164d53e3d44339b8ff606f43084098f07286169c2dec2a9a99ac8f3cca9",
+        "701ef27a97bab462423f2e6770e6b7901c2afaeed7093fe8b1979aa740a3f7ed",
     "analyze --roots=1e-300,2e-300,3e-300":
-        "659803d6a74dbd483bea845ff4d324684158ea66bd6d7e4e4aaa6f0ec81e516b",
+        "6f6f883b7cbf31963245aef1cdaf0b1a688131cb894c624bcc66fece6caee82e",
     "analyze --roots=1+1i,1+1i,2,0-0.5i":
-        "d7475966c13490023342fa8e87b36c6a42e6243cb7fc6de6ff065b3f8fb1900f",
+        "361bc85147463879597a241fb442bf1bab4f427f99e69d2bd1251901085b8b6a",
     "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
-        "41ce5132116ebffe0f7bf87311aa144728824e40dada6e4acd0714084c8d2914",
+        "03dcdef66524ca5db3c317e468257ec83ee7b378b59c5473bdc60cb6c4219037",
 }
 
 
@@ -418,19 +418,6 @@ def test_non_finite_or_out_of_range_input_is_a_one_line_error(capsys, argv, word
     assert err.startswith(f"limpoly {argv[0]}: error:") and word in err
 
 
-def test_search_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("LIMPOLY_SEED", "123")
-    argv = [
-        "search", "--claim", "index_bound", "--degree", "3", "--samples", "20",
-        "--dist", "uniform:0.05,0.5", "--json",
-    ]
-    _, from_env, _ = run_cli(capsys, *argv)
-    monkeypatch.delenv("LIMPOLY_SEED")
-    _, explicit, _ = run_cli(capsys, *argv[:-1] + ["--seed", "123", "--json"])
-    assert json.loads(from_env)["inputs"]["seed"] == 123
-    assert from_env == explicit
-
-
 def test_search_writes_counterexample_log(capsys, tmp_path):
     log = tmp_path / "hits.ndjson"
     code, _, err = run_cli(
@@ -475,6 +462,16 @@ def test_expand_value_center_zero_gives_plain_coefficients(capsys):
     assert code == 0
     shift = json.loads(out)["results"]["shift_coefficients"]
     assert [complex(re, im) for re, im in shift] == [-6, 11, -6, 1]
+
+
+def test_expand_value_center_near_huge_zeros_is_the_product_of_their_gaps(capsys):
+    # the coefficients of (x - 1e160) (x - 1.0000000001e160) overflow; those about 1e160 do not
+    code, out, _ = run_cli(
+        capsys, "expand", "--roots", "1e160,1.0000000001e160", "--center", "value:1e160", "--json"
+    )
+    assert code == 0
+    shift = [complex(re, im) for re, im in json.loads(out)["results"]["shift_coefficients"]]
+    assert shift == [0, -(1.0000000001e160 - 1e160), 1]
 
 
 def test_expand_max_plus(capsys):

@@ -10,6 +10,8 @@ Each seed and tolerance below was fixed before the sweep's count was seen.
 
 import math
 
+import numpy as np
+
 from limpoly import SearchConfig, run_search
 
 SIGMAS = 4.0  # allowed distance of a count from its expectation, in standard deviations
@@ -20,6 +22,31 @@ def _uniform_gap_at_least(gap: float, lo: float, hi: float) -> float:
     return max(0.0, 1.0 - gap / (hi - lo)) ** 2
 
 
+def _uniform_pair_probability(upper, lo: float, hi: float) -> float:
+    """P(m <= upper(M)) for the smaller m and larger M of two independent uniforms on [lo, hi].
+
+    (m, M) has density 2 / (hi - lo)^2 on lo <= m <= M <= hi, so this is that density
+    times the integral over M of the length of [lo, min(M, upper(M))], by the
+    trapezoid rule on a fine grid.
+    """
+    big = np.linspace(lo, hi, 200_001)
+    length = np.clip(np.minimum(big, upper(big)) - lo, 0.0, None)
+    return float(2.0 * np.trapezoid(length, big) / (hi - lo) ** 2)
+
+
+def _sweep_counts(claim: str, lo: float, hi: float, samples: int, seed: int) -> dict:
+    config = SearchConfig(
+        claim_id=claim, degree_min=2, degree_max=2, samples=samples, seed=seed,
+        distribution=f"uniform:{lo},{hi}",
+    )
+    counts = run_search(config).counts
+    # The default eps policy, eps = 1.01 times the rest product M, makes the one hypothesis
+    # (M < eps) hold for every sample.
+    assert counts["HYPOTHESES_NOT_MET"] == 0
+    assert counts["SOLVER_FAILURE"] == 0
+    return counts
+
+
 def _assert_binomial(count: int, samples: int, p: float) -> None:
     mean = samples * p
     sd = math.sqrt(samples * p * (1.0 - p))
@@ -28,15 +55,30 @@ def _assert_binomial(count: int, samples: int, p: float) -> None:
 
 def test_squeeze_degree_two_uniform():
     # P' has its one zero at (m + M) / 2, so the least zero is (M - m) / 2 from it, and the
-    # conclusion (distance < delta = 1) fails iff M - m >= 2.  The default eps policy makes
-    # the hypothesis (rest product M < 1.01 M) hold for every sample.
+    # conclusion (distance < delta = 1) fails iff M - m >= 2.
     lo, hi, samples = 0.05, 4.05, 4000
-    config = SearchConfig(
-        claim_id="squeeze", degree_min=2, degree_max=2, samples=samples, seed=22,
-        distribution=f"uniform:{lo},{hi}",
-    )
-    counts = run_search(config).counts
-    assert counts["HYPOTHESES_NOT_MET"] == 0
-    assert counts["SOLVER_FAILURE"] == 0
+    counts = _sweep_counts("squeeze", lo, hi, samples, seed=22)
     # expected 4000 * (1 - 2/4)**2 = 1000 counterexamples, sd 27.4
     _assert_binomial(counts["COUNTEREXAMPLE"], samples, _uniform_gap_at_least(2.0, lo, hi))
+
+
+def test_perm_sum_bound_degree_two_uniform():
+    # |P'(m)| = M - m against eps sqrt(2 pi) / e with eps = 1.01 M: the conclusion fails
+    # iff M - m >= 1.01 M sqrt(2 pi) / e, that is iff m <= ratio * M.
+    lo, hi, samples = 0.01, 1.0, 4000
+    ratio = 1.0 - 1.01 * math.sqrt(2.0 * math.pi) / math.e
+    counts = _sweep_counts("perm_sum_bound", lo, hi, samples, seed=2026)
+    p = _uniform_pair_probability(lambda big: ratio * big, lo, hi)
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
+
+
+def test_basic_inequality_degree_two_uniform():
+    # |P'(m)| + |P''(m)| = (M - m) + 2 against eps S_2 with eps = 1.01 M, where
+    # S_2 = sqrt(2 pi) (e^-1 + e^-2 2^(5/2)): the conclusion fails iff
+    # (M - m) + 2 >= 1.01 M S_2, that is iff m <= 2 - (1.01 S_2 - 1) M.
+    lo, hi, samples = 0.05, 2.05, 4000
+    s_2 = math.sqrt(2.0 * math.pi) * (math.exp(-1.0) + math.exp(-2.0) * 2.0**2.5)
+    slope = 1.01 * s_2 - 1.0
+    counts = _sweep_counts("basic_inequality", lo, hi, samples, seed=2026)
+    p = _uniform_pair_probability(lambda big: 2.0 - slope * big, lo, hi)
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from limpoly import (
     RootDomainError,
-    evaluate,
-    evaluation_scale,
     from_roots,
     index_bound_check,
     local_expansion_max_plus,
@@ -17,7 +15,8 @@ from limpoly import (
     min_pair_lemma,
     taylor_shift,
 )
-from oracles import elementary_symmetric, exact_poly_from_roots
+from limpoly.polynomials import _evaluation_scale
+from oracles import elementary_symmetric, exact_poly_from_roots, product_value
 
 
 def test_min_expansion_basic():
@@ -84,9 +83,8 @@ def test_max_plus_expansion_examples():
 def test_max_plus_reconstructs_plus_product():
     values = [0.3, 1.1, 2.7]
     exp = local_expansion_max_plus(values)
-    plus_poly = from_roots([-v for v in values])  # prod (x + a_i)
     for x in (-3.0, -0.4, 0.0, 0.9, 2.2):
-        direct = evaluate(plus_poly, x)
+        direct = product_value([-v for v in values], x).real  # prod (x + a_i)
         y = x + exp.center
         series = sum(c * y**k for k, c in enumerate(exp.coeffs, start=1))
         assert direct == pytest.approx(series, rel=1e-10, abs=1e-12)
@@ -97,7 +95,7 @@ def test_index_bound_check_examples():
     report = index_bound_check(local_expansion_min(roots), roots)
     assert report.bound == 6
     assert [e.magnitude for e in report.entries] == [2, 3]
-    assert report.all_hold
+    assert all(e.holds for e in report.entries)
 
     small = [0.1, 0.2, 0.3]
     violation = index_bound_check(local_expansion_min(small), small)
@@ -105,12 +103,10 @@ def test_index_bound_check_examples():
     by_order = {e.order: e for e in violation.entries}
     assert by_order[1].holds  # 0.02 < 0.06
     assert not by_order[2].holds  # 0.3 > 0.06
-    assert not violation.all_hold
 
     single = [0.4]
     vacuous = index_bound_check(local_expansion_min(single), single)
     assert vacuous.entries == ()
-    assert vacuous.all_hold
 
 
 def test_index_bound_plus_form_uses_center_power():
@@ -118,7 +114,7 @@ def test_index_bound_plus_form_uses_center_power():
     report = index_bound_check(local_expansion_max_plus(roots), roots)
     assert report.bound == 16  # center 4 to the power n = 2
     assert report.entries[0].magnitude == 3
-    assert report.all_hold
+    assert report.entries[0].holds
 
 
 def test_min_pair_lemma_examples():
@@ -157,8 +153,8 @@ def test_reconstruction_property(roots):
         x = exp.center + frac * span
         y = x - exp.center
         series = sum(c * y**k for k, c in enumerate(exp.coeffs, start=1))
-        direct = evaluate(poly, x)
-        scale = max(evaluation_scale(poly.coeffs, x), abs(direct), 1.0)
+        direct = product_value(roots, x).real
+        scale = max(_evaluation_scale(poly.coeffs, x), abs(direct), 1.0)
         assert abs(direct - series) <= 1e-9 * scale
 
 
@@ -185,17 +181,11 @@ def test_expansion_keeps_the_signed_zeros_of_from_roots(roots):
 @settings(max_examples=80, deadline=None)
 @given(roots=positive_roots)
 def test_coefficients_match_taylor_shift(roots):
-    poly = from_roots(roots)
     exp = local_expansion_min(roots)
-    shifted = taylor_shift(poly, exp.center)
-    # repeated centers produce exact zeros on the product side while the
-    # shift side keeps roundoff; synthetic-division roundoff scales with
-    # the magnitudes of the original coefficients, hence the floor
-    floor = 1e-12 * max(1.0, max(abs(c) for c in poly.coeffs))
-    for k in range(1, len(roots) + 1):
-        got = exp.coeffs[k - 1]
-        want = shifted[k].real
-        assert abs(got - want) <= max(1e-10 * max(abs(got), abs(want)), floor)
+    shifted = taylor_shift(roots, exp.center)
+    # the same product of gaps, with the center's factor y: equal values, up to signed zeros
+    assert shifted[0] == 0
+    assert list(exp.coeffs) == [t.real for t in shifted[1:]]
     # first coefficient magnitude is the product of gaps
     gap_product = math.prod(abs(exp.center - r) for i, r in enumerate(roots) if i != exp.center_index)
     assert abs(exp.coeffs[0]) == pytest.approx(gap_product, rel=1e-10, abs=1e-300)
@@ -211,3 +201,26 @@ def test_symmetric_function_identity():
         for k in range(1, n + 1):
             expected = (-1.0) ** (n - k) * elementary_symmetric(gaps, n - k)
             assert exp.coeffs[k - 1] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+SHIFT_ROUNDOFFS = 2  # c in the bound below, fixed before the test was first run
+
+
+def test_taylor_shift_is_within_n_roundoffs_of_the_exact_shift():
+    # |t_k - exact_k| <= c * n * 2^-52 * e_{n-k}(|a_i - x|) at any real center x, where
+    # exact_k expands the shifted zeros a_i - x over the rationals
+    rng = np.random.default_rng(2601)
+    for trial in range(300):
+        n = int(rng.integers(1, 31))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        low = 0.5 if trial % 2 == 0 else -2.0  # clustered positive zeros, or both signs
+        roots = (scale * rng.uniform(low, 2.0, n)).tolist()
+        center = float(scale * rng.uniform(-3.0, 3.0))
+        shifted = taylor_shift(roots, center)
+        gaps = [Fraction(a) - Fraction(center) for a in roots]
+        exact = exact_poly_from_roots(gaps)
+        natural = exact_poly_from_roots([-abs(g) for g in gaps])  # e_{n-k}(|gaps|)
+        unit = Fraction(SHIFT_ROUNDOFFS * n, 2**52)
+        for t, want, size in zip(shifted, exact, natural):
+            assert t.imag == 0.0
+            assert abs(Fraction(t.real) - want) <= unit * size, (roots, center)

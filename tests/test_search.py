@@ -332,7 +332,7 @@ def test_shard_merge_equals_single_shot():
 # Uniform draws keep the digests free of numpy's CPU-dispatched exp/log.
 PINNED_REPORTS = [
     ("index_bound", 3, 3, "uniform:0.05,0.5", {},
-     "5c59e802f683fcd7baf53514494968f390ba754b81a6b249251e2e2d608ba12c"),
+     "3222f6543212978c0d5c0926a9b4cc2de89de37a8f3b68a425311361952d7a23"),
     ("basic_inequality", 2, 8, "uniform:0.05,2", {},
      "ae096cb3e67d3f073d2c8e021dd3f581241ee68776e9a00575d88d740b56440a"),
     ("perm_sum_bound", 2, 8, "uniform:0.05,2", {},
@@ -342,7 +342,7 @@ PINNED_REPORTS = [
     ("product_prop", 2, 8, "uniform:0.2,0.8", {},
      "79ba7a178ad7f97d7967dcb5fc520e0e1d98f45c51152d432fb4688419c5530b"),
     ("real_case", 2, 8, "uniform:0.05,2", {"index_band": 5.0},
-     "8b774288bfc49a797c2790106edcdb61490e3f0ac4ec9106b8ad2c834b072e1f"),
+     "1fcc0f1ca89a4bc1a50e4f10c2497037308c001a127f66a098a404aa52c6a325"),
     ("squeeze", 2, 8, "uniform:0.05,2", {},
      "57ca1f0a44a46e3a043dc3fce3b4d2aaedcce42f5210b79bb989e19851de911f"),
 ]
