@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -186,6 +187,36 @@ def _zero_band(v: float) -> float:
     return math.ulp(v) / (4.0 if abs(math.frexp(v)[0]) == 0.5 else 2.0)
 
 
+def _ordinal(x: float) -> int:
+    """The place of x among the floats: consecutive floats are consecutive integers, +-0 is 0."""
+    k = struct.unpack("<q", struct.pack("<d", x))[0]
+    return k if k >= 0 else -(k & 0x7FFFFFFFFFFFFFFF)
+
+
+def _from_ordinal(k: int) -> float:
+    """The float at place k: the inverse of _ordinal, with 0 read as +0."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
+
+
+def _zero_run_end(clusters, zero: float, bound: float) -> float:
+    """The float furthest from zero toward bound, bound excluded, where the sum is exactly 0.
+
+    The sum is 0 at zero, and bound is a pole or a float where it is not;
+    its computed value is monotone over the floats between, so its zeros
+    there form one run.  Steps toward bound double while they find 0,
+    then the last step is bisected, over the floats' places.
+    """
+    good, bad = _ordinal(zero), _ordinal(bound)
+    step = 1 if bad > good else -1
+    while abs(bad - good) > 1:
+        probe = good + step if abs(step) < abs(bad - good) else (good + bad) // 2
+        if _log_derivative(clusters, _from_ordinal(probe))[0] == 0.0:
+            good, step = probe, 2 * step
+        else:
+            bad = probe
+    return _from_ordinal(good)
+
+
 def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
     """The single derivative zero in the open interval (lo, hi).
 
@@ -236,21 +267,30 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
     about 53 + log2(n) halvings reach one ulp of x, well inside the
     200-step cap.
 
+    Where f is exactly 0 at a float, the floats where it is 0 form one
+    run, and its ends are found from that float: steps toward a and toward
+    b double while f stays 0, then the last one is bisected.  a and b
+    become the floats just outside the run, and a midpoint strictly
+    between them is a zero of f with no further sum.
+
     Otherwise the bisection is replayed: a midpoint at or below a is
     positive, one at or above b negative, and f is evaluated only at a
-    midpoint strictly inside (a, b).  That is needed where f is exactly 0
-    at a float, the steps ran out, or (lo, hi) holds 0.
+    midpoint strictly inside (a, b).  That is needed where the steps ran
+    out or (lo, hi) holds 0.
     """
     a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
+    run = None  # two floats where f is 0: so it is at every float between
     if lo < 0.0 < hi:  # inner: the band's largest float
         inner = math.nextafter(min(_zero_band(lo), _zero_band(hi)), 0.0)
         s = _log_derivative(clusters, 0.0)[0]
         if s:
             a, b = (inner, b) if s > 0.0 else (a, -inner)
+        else:
+            run = (-inner, inner)
     d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
     x = start if lo < start < hi else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     probe = 1.0  # ulps of x
-    for _ in range(_NEWTON_BUDGET):
+    for _ in range(0 if run else _NEWTON_BUDGET):
         if not a < x < b:
             x = 0.5 * a + 0.5 * b
             if not a < x < b:
@@ -261,6 +301,7 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
         elif s < 0.0:
             b = x
         else:
+            run = (x, x)
             break
         sd = s * d
         den = sd * (d / (x - lo) - d / (hi - x)) - slope  # F'(x) d^2 / ((x - lo)(hi - x))
@@ -269,13 +310,17 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0
         x = x_new
-    if math.nextafter(a, b) == b and not lo < 0.0 < hi:
+    if run:
+        a = math.nextafter(_zero_run_end(clusters, run[0], a), lo)
+        b = math.nextafter(_zero_run_end(clusters, run[1], b), hi)
+    elif math.nextafter(a, b) == b and not lo < 0.0 < hi:
         return 0.5 * a + 0.5 * b
     for _ in range(200):
         mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
-        s = 1.0 if mid <= a else -1.0 if mid >= b else _log_derivative(clusters, mid)[0]
+        s = (1.0 if mid <= a else -1.0 if mid >= b
+             else 0.0 if run else _log_derivative(clusters, mid)[0])
         if s > 0.0:
             lo = mid
         elif s < 0.0:

@@ -7,8 +7,9 @@ sweep with seed s draws from Generator(Philox(SeedSequence(entropy=s,
 spawn_key=(i,)))): Philox4x64-10 from counter 0, keyed by that
 SeedSequence's first two 64-bit output words.  A sweep starts from the
 seed's share of that key, derives the keys of its samples in numpy
-passes over blocks of samples, and reseeds one generator per sample.
-Reports are canonically serializable: identical config and seed give
+passes over blocks of samples, reads each sample's raw Philox words, and
+derives a block's degrees and zeros from them in numpy passes.  Reports
+are canonically serializable: identical config and seed give
 byte-identical JSON (wall time is kept out of the canonical form).
 """
 
@@ -68,9 +69,11 @@ _LANE_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(5)], dtype=np.u
 _OUT_HASH = np.array(
     [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5)], dtype=np.uint64
 )[:, None]
-# Samples whose keys are derived in one pass: memory stays bounded on any
-# sweep, and the pass's fixed cost is spread over the block.
+# Samples drawn in one block, of at most _BLOCK_WORDS raw words: memory
+# stays bounded on any sweep, and a block's numpy passes are spread over
+# its samples.
 _KEY_BLOCK = 1024
+_BLOCK_WORDS = 1 << 16
 
 # Samples with no verdict: the solver ran out of sweeps, or a checked value left double range.
 SOLVER_FAILURE = "SOLVER_FAILURE"
@@ -124,23 +127,6 @@ def _parse_policy(spec: str):
     return kind, value
 
 
-def generate_roots(distribution: str, n: int, rng: np.random.Generator) -> RootMultiset:
-    """Draw n roots; real distributions yield positive reals."""
-    if n < 1:
-        raise ValueError("need at least one root")
-    kind, params = _parse_distribution(distribution)
-    if kind == "uniform":
-        lo, hi = params
-        return RootMultiset(rng.uniform(lo, hi, n).tolist())
-    if kind == "log-uniform":
-        lo, hi = params
-        return RootMultiset(np.exp(rng.uniform(math.log(lo), math.log(hi), n)).tolist())
-    radius = params[0]
-    r = (radius * np.sqrt(rng.uniform(0.0, 1.0, n))).tolist()
-    theta = rng.uniform(0.0, 2.0 * math.pi, n).tolist()
-    return RootMultiset(tuple(complex(a * math.cos(t), a * math.sin(t)) for a, t in zip(r, theta)))
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     claim_id: ClaimId
@@ -161,6 +147,8 @@ class SearchConfig:
             raise ValueError("degree_min must be at least 2")
         if self.degree_max < self.degree_min:
             raise ValueError("degree_max must be >= degree_min")
+        if self.degree_max - self.degree_min >= _MASK32:  # numpy's 64-bit integers rule
+            raise ValueError("a degree range spans fewer than 2**32 degrees")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -226,7 +214,7 @@ def _instance_hash(roots: tuple[complex, ...]) -> str:
 
 
 class _SampleStreams:
-    """One Philox generator, reseeded to the stream of each sample of a shard.
+    """The raw Philox words of the stream of each sample of a sweep.
 
     The stream of sample i is Generator(Philox(SeedSequence(entropy=seed,
     spawn_key=(i,)))), reproduced exactly.  That SeedSequence pads the
@@ -237,18 +225,26 @@ class _SampleStreams:
     has then run through 16 steps, and it runs through four more for each
     index word, so it too is known before the index is.
 
-    The keys of a shard are derived in numpy passes of up to _KEY_BLOCK
-    samples, with no per-sample Python: the pool is a (4, N) uint64 array,
-    one column per sample, and each hash or mix step is one whole-array
-    operation on 32-bit values held in 64 bits.  An index past 2**32 has
-    more words; as the indices ascend, the columns that take word w are
-    those from the first index at or past 2**(32 w) on.
+    The keys of a block are derived in numpy passes with no per-sample
+    Python: the pool is a (4, N) uint64 array, one column per sample, and
+    each hash or mix step is one whole-array operation on 32-bit values
+    held in 64 bits.  An index past 2**32 has more words; as the indices
+    ascend, the columns that take word w are those from the first index at
+    or past 2**(32 w) on.  One Philox bit generator is then reseeded to each
+    key in turn and reads that sample's words.
     """
 
     def __init__(self, seed: int) -> None:
         self._pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
         self._bitgen = np.random.Philox(0)  # reseeded before every sample
-        self._rng = np.random.Generator(self._bitgen)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": None},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def keys(self, start: int, stop: int) -> list[list[int]]:
         """The two Philox key words, generate_state(2, uint64), of samples start..stop-1."""
@@ -273,21 +269,100 @@ class _SampleStreams:
         out ^= out >> 16
         return (out[::2] | out[1::2] << 32).T.tolist()
 
-    def shard(self, start: int, stop: int):
-        """The generator, set in turn to the start of the stream of each sample start..stop-1."""
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": None},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for block in range(start, stop, _KEY_BLOCK):
-            for key in self.keys(block, min(block + _KEY_BLOCK, stop)):
-                state["state"]["key"] = key
-                self._bitgen.state = state
-                yield self._rng
+    def words(self, start: int, stop: int, width: int) -> np.ndarray:
+        """The first width raw words, random_raw(width), of samples start..stop-1: one row each."""
+        out = np.empty((max(stop - start, 0), width), dtype=np.uint64)
+        state, bitgen = self._state, self._bitgen
+        for row, key in enumerate(self.keys(start, stop)):
+            state["state"]["key"] = key
+            bitgen.state = state
+            out[row] = bitgen.random_raw(width)
+        return out
+
+
+def _degrees(words: np.ndarray, low: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(low, low + width) on each row of raw words, for width < 2**32.
+
+    numpy's 32-bit rule (Lemire 2019) takes 32-bit values x in turn, the
+    low and then the high half of each word, and returns low + (x width >> 32)
+    for the first x whose x width mod 2**32 is at least (2**32 - width) mod
+    width.  Returns the degrees, and per row the word after the one that
+    gave its degree: -1 where no half of the row's words is accepted.
+    """
+    halves = np.stack((words & _MASK32, words >> 32), axis=2)  # the low, then the high half
+    halves = halves.reshape(len(words), 2 * words.shape[1])
+    scaled = halves * np.uint64(width)
+    accepted = (scaled & _MASK32) >= (2**32 - width) % width
+    first = accepted.argmax(axis=1)
+    degrees = low + (scaled[np.arange(len(words)), first] >> 32).astype(np.int64)
+    return degrees, np.where(accepted.any(axis=1), first // 2 + 1, -1)
+
+
+def _layout(config: SearchConfig) -> tuple[int, int, int]:
+    """Raw words a sample reads for its degree (0 or 1), per multiset zero, and at most in all."""
+    kind, _ = _parse_distribution(config.distribution)
+    skip = int(config.degree_min < config.degree_max)
+    per_zero = 2 if kind == "complex-disk" else 1  # a radius and an angle
+    sets = 2 if config.claim_id is ClaimId.PRODUCT_PROP else 1
+    return skip, per_zero, skip + sets * per_zero * config.degree_max
+
+
+def generate_roots(
+    config: SearchConfig, start: int, stop: int
+) -> tuple[list[list[complex]], list[list[complex] | None]]:
+    """Draw samples start..stop-1 of a sweep as one block.
+
+    Returns the zeros of each sample, and those of its second multiset for
+    PRODUCT_PROP (None for the other claims), as plain lists of floats
+    (complex for complex-disk): a sweep validates each as a RootMultiset
+    when it takes the sample.  A sample reads the raw words of its stream
+    as Generator.integers and Generator.uniform would: its degree from
+    word 0 (no word when degree_min == degree_max), then one word per zero
+    (complex-disk: the n radii, then the n angles), the second multiset
+    after the first.  Word w gives u = (w >> 11) 2**-53, and the zero
+    lo + (hi - lo) u; log-uniform takes exp of that on (log lo, log hi).
+    Each map is one numpy pass over the block.
+    """
+    kind, params = _parse_distribution(config.distribution)
+    skip, per_zero, width = _layout(config)
+    streams = _SampleStreams(config.seed)
+    words = streams.words(start, stop, width)
+    degrees = [config.degree_min] * len(words)
+    if skip:
+        low, span = config.degree_min, config.degree_max - config.degree_min + 1
+        drawn, used = _degrees(words[:, :1], low, span)
+        degrees = drawn.tolist()
+        for row in np.flatnonzero(used < 0).tolist():  # both halves of word 0 rejected
+            extra = 2
+            while True:  # the degree from the first extra words, the zeros after it
+                longer = streams.words(start + row, start + row + 1, extra + width - 1)
+                drawn, used = _degrees(longer[:, :extra], low, span)
+                if used[0] > 0:
+                    degrees[row] = int(drawn[0])
+                    words[row, 1:] = longer[0, used[0]:used[0] + width - 1]
+                    break
+                extra *= 2
+    u = (words[:, skip:] >> 11).astype(np.float64)
+    u *= 2.0**-53
+    if kind == "complex-disk":
+        radii = (params[0] * np.sqrt(u)).tolist()
+        angles = (u * (2.0 * math.pi)).tolist()
+
+        def zeros(row, n, at):
+            return [complex(a * math.cos(t), a * math.sin(t))
+                    for a, t in zip(radii[row][at:at + n], angles[row][at + n:at + 2 * n])]
+    else:
+        lo, hi = (math.log(b) for b in params) if kind == "log-uniform" else params
+        u *= hi - lo
+        u += lo
+        values = (np.exp(u) if kind == "log-uniform" else u).tolist()
+
+        def zeros(row, n, at):
+            return values[row][at:at + n]
+    firsts = [zeros(row, n, 0) for row, n in enumerate(degrees)]
+    if config.claim_id is not ClaimId.PRODUCT_PROP:
+        return firsts, [None] * len(firsts)
+    return firsts, [zeros(row, n, per_zero * n) for row, n in enumerate(degrees)]
 
 
 def _resolve_eps(policy: tuple[str, float], roots: RootMultiset, claim: ClaimId) -> float:
@@ -348,14 +423,15 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     cap, dropped = config.counterexample_cap, 0
     policy = _parse_policy(config.epsilon_policy)
     takes_eps = config.claim_id in CLAIMS_TAKING_EPS
-    streams = _SampleStreams(config.seed)
+    rows = max(1, min(_KEY_BLOCK, _BLOCK_WORDS // _layout(config)[2]))
+    # Samples are drawn a block at a time, and each is validated as it is taken.
+    samples = (
+        (RootMultiset(first), second and RootMultiset(second))
+        for block in range(start, end, rows)
+        for first, second in zip(*generate_roots(config, block, min(block + rows, end)))
+    )
 
-    for index, rng in enumerate(streams.shard(start, end), start):
-        degree = int(rng.integers(config.degree_min, config.degree_max + 1))
-        roots = generate_roots(config.distribution, degree, rng)
-        second = None
-        if config.claim_id is ClaimId.PRODUCT_PROP:
-            second = generate_roots(config.distribution, degree, rng)
+    for index, (roots, second) in enumerate(samples, start):
         eps = _resolve_eps(policy, roots, config.claim_id) if takes_eps else None
         delta = config.delta if second is None else _resolve_eps(policy, second, config.claim_id)
         try:
@@ -372,7 +448,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
             continue
         counts[verdict.classification.value] += 1
         bucket = bisect.bisect_right(MARGIN_BIN_EDGES, verdict.conclusion.margin)
-        histograms.setdefault(degree, [0] * (len(MARGIN_BIN_EDGES) + 1))[bucket] += 1
+        histograms.setdefault(roots.n, [0] * (len(MARGIN_BIN_EDGES) + 1))[bucket] += 1
         if verdict.classification is Classification.COUNTEREXAMPLE:
             logged = roots.roots if second is None else roots.roots + second.roots
             found.append(

@@ -11,6 +11,8 @@ reference for the float that path must still return, and scan_groups is
 the all-pairs grouping that the complex path once ran, kept as the
 reference for the groups it must still form.  distance_summary reads
 the zero-to-critical-point summaries off the full table of distances.
+numpy_sample draws a sweep sample with numpy's own Generator, one call
+per degree or zero set, as the README states a sample's stream.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 def exact_poly_from_roots(roots):
@@ -74,6 +77,38 @@ def bisection_interval_zero(clusters, lo, hi):
     Bisects on the sign of the fsum of the terms.
     """
     return bisection_on_sign(lambda x: math.fsum(m / (x - v) for v, m in clusters), lo, hi)
+
+
+def _numpy_zeros(rng, distribution, n):
+    kind, _, rest = distribution.partition(":")
+    params = [float(p) for p in rest.split(",")]
+    if kind == "uniform":
+        return tuple(map(complex, rng.uniform(params[0], params[1], n).tolist()))
+    if kind == "log-uniform":
+        logs = rng.uniform(math.log(params[0]), math.log(params[1]), n)
+        return tuple(map(complex, np.exp(logs).tolist()))
+    radii = (params[0] * np.sqrt(rng.uniform(0.0, 1.0, n))).tolist()
+    angles = rng.uniform(0.0, 2.0 * math.pi, n).tolist()
+    return tuple(complex(a * math.cos(t), a * math.sin(t)) for a, t in zip(radii, angles))
+
+
+def numpy_sample(seed, index, degree_min, degree_max, distribution, pair, span=None):
+    """Sample index of a sweep: its zeros, and its second zero set if pair (else None).
+
+    Generator(Philox(SeedSequence(entropy=seed, spawn_key=(index,)))) draws
+    the degree by integers, then each zero set by uniform: exp of a uniform
+    on the logs for log-uniform, radius times sqrt(uniform) and a uniform
+    angle for complex-disk.  span, if given, draws the degree from span
+    values and folds it into the degree range.
+    """
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    )
+    width = degree_max - degree_min + 1
+    drawn = int(rng.integers(degree_min, degree_min + (span or width)))
+    degree = degree_min + (drawn - degree_min) % width
+    first = _numpy_zeros(rng, distribution, degree)
+    return first, _numpy_zeros(rng, distribution, degree) if pair else None
 
 
 def scan_groups(items, near):

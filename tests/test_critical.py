@@ -31,6 +31,7 @@ from limpoly.critical import (
     _log_derivative,
     _real_critical_points,
     _zero_band,
+    _zero_run_end,
 )
 from oracles import (
     bisection_interval_zero,
@@ -755,6 +756,52 @@ def test_interval_zero_evaluates_the_sum_a_few_times(monkeypatch):
             intervals += len(_cluster_reals(values)[0]) - 1
             values = _real_critical_points(values)
     assert len(calls) / intervals <= 4  # 2.92 measured
+
+
+def _exact_zero_gaps():
+    """(clusters, lo, hi, start) of the case gaps whose result is a float where the sum is 0."""
+    return [
+        (clusters, lo, hi, start)
+        for values in _bisection_cases()
+        for clusters, lo, hi, start in _tower_intervals(values)
+        if _log_derivative(clusters, _interval_zero(clusters, lo, hi, start))[0] == 0.0
+    ]
+
+
+def test_a_run_of_exact_zero_sums_ends_where_the_sum_turns():
+    for clusters, lo, hi, start in _exact_zero_gaps():
+        zero = _interval_zero(clusters, lo, hi, start)
+        for bound in (lo, hi):
+            end = _zero_run_end(clusters, zero, bound)
+            beyond = math.nextafter(end, bound)
+            assert _log_derivative(clusters, end)[0] == 0.0, (clusters, lo, hi)
+            assert beyond == bound or _log_derivative(clusters, beyond)[0] != 0.0, (clusters, lo, hi)
+
+
+def test_an_exact_zero_sum_keeps_the_bracket(monkeypatch):
+    # from a float where the sum is 0, the run of such floats is found, and the bisection's
+    # float follows from its ends with no further sum; replaying the bisection from (lo, hi)
+    # took 22-54 sums on 18 of these gaps
+    log_derivative = critical._log_derivative
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_derivative(*args)
+
+    monkeypatch.setattr(critical, "_log_derivative", counted)
+    per_gap = []
+    for clusters, lo, hi, start in _exact_zero_gaps():
+        calls.clear()
+        _interval_zero(clusters, lo, hi, start)
+        per_gap.append(len(calls))
+    assert max(per_gap) <= 8, per_gap  # 7 measured
+    # an eigenvalue start where the sum is 0, on a one-sign gap: it took 30 sums
+    clusters, _ = _cluster_reals([2e-27, 2.9999999999999998e-55, -1e-69])
+    [_, (lo, hi, start)] = _gaps(clusters)
+    calls.clear()
+    assert _interval_zero(clusters, lo, hi, start).hex() == "0x1.a68cd9e985015p+69"
+    assert len(calls) == 3
 
 
 # Newton's adjacent floats (a, b) end the bisection, and where they cannot, it is replayed

@@ -34,10 +34,27 @@ def _uniform_pair_probability(upper, lo: float, hi: float) -> float:
     return float(2.0 * np.trapezoid(length, big) / (hi - lo) ** 2)
 
 
-def _sweep_counts(claim: str, lo: float, hi: float, samples: int, seed: int) -> dict:
+def _log_uniform_pair_probability(upper, lo: float, hi: float) -> float:
+    """P(m <= upper(M)) for the smaller m and larger M of two independent log-uniforms on [lo, hi].
+
+    In logs, x = log m <= y = log M has density 2 / L^2 with L = log(hi / lo), so this is
+    that density times the integral over y of the length of [log lo, min(y, log upper(e^y))]
+    (empty where upper(e^y) <= 0), by the trapezoid rule on a fine grid.
+    """
+    a, b = math.log(lo), math.log(hi)
+    y = np.linspace(a, b, 200_001)
+    bound = upper(np.exp(y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.where(bound > 0.0, np.log(bound), -np.inf)
+    length = np.clip(np.minimum(y, top) - a, 0.0, None)
+    return float(2.0 * np.trapezoid(length, y) / (b - a) ** 2)
+
+
+def _sweep_counts(claim: str, lo: float, hi: float, samples: int, seed: int,
+                  kind: str = "uniform") -> dict:
     config = SearchConfig(
         claim_id=claim, degree_min=2, degree_max=2, samples=samples, seed=seed,
-        distribution=f"uniform:{lo},{hi}",
+        distribution=f"{kind}:{lo},{hi}",
     )
     counts = run_search(config).counts
     # The default eps policy, eps = 1.01 times the rest product M, makes the one hypothesis
@@ -81,4 +98,36 @@ def test_basic_inequality_degree_two_uniform():
     slope = 1.01 * s_2 - 1.0
     counts = _sweep_counts("basic_inequality", lo, hi, samples, seed=2026)
     p = _uniform_pair_probability(lambda big: 2.0 - slope * big, lo, hi)
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
+
+
+# The sweeps below draw log-uniform zeros, as the benchmark's sweeps do.  A wrong log base
+# or swapped bounds in the draw would move these counts; no digest would show it.
+
+
+def test_squeeze_degree_two_log_uniform():
+    lo, hi, samples = 0.05, 10.0, 4000
+    counts = _sweep_counts("squeeze", lo, hi, samples, seed=2027, kind="log-uniform")
+    p = _log_uniform_pair_probability(lambda big: big - 2.0, lo, hi)  # about 0.415
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
+
+
+def test_perm_sum_bound_degree_two_log_uniform():
+    # the conclusion fails iff log M - log m >= g = -log(1 - 1.01 sqrt(2 pi) / e), and the
+    # gap of two uniforms on an interval of length L = log(hi / lo) is at least g with
+    # probability (1 - g / L)^2
+    lo, hi, samples = 0.01, 15.0, 4000
+    g = -math.log(1.0 - 1.01 * math.sqrt(2.0 * math.pi) / math.e)
+    counts = _sweep_counts("perm_sum_bound", lo, hi, samples, seed=2027, kind="log-uniform")
+    p = (1.0 - g / math.log(hi / lo)) ** 2  # about 0.402
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
+
+
+def test_basic_inequality_degree_two_log_uniform():
+    # the region of test_basic_inequality_degree_two_uniform: m <= 2 - (1.01 S_2 - 1) M
+    lo, hi, samples = 0.05, 5.0, 4000
+    s_2 = math.sqrt(2.0 * math.pi) * (math.exp(-1.0) + math.exp(-2.0) * 2.0**2.5)
+    slope = 1.01 * s_2 - 1.0
+    counts = _sweep_counts("basic_inequality", lo, hi, samples, seed=2027, kind="log-uniform")
+    p = _log_uniform_pair_probability(lambda big: 2.0 - slope * big, lo, hi)  # about 0.400
     _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)

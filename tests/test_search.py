@@ -3,8 +3,12 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import bench_workloads
 import numpy as np
@@ -34,10 +38,22 @@ from limpoly import (
 )
 from limpoly import search
 from limpoly.search import _SampleStreams
+from oracles import numpy_sample
 
 
-def _rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+def _config(claim, lo, hi, dist, seed=0):
+    return SearchConfig(claim_id=claim, degree_min=lo, degree_max=hi, samples=2**70, seed=seed,
+                        distribution=dist)
+
+
+def _samples(config, start, stop):
+    """generate_roots's block as (first, second) tuples of complex zeros, second None or not."""
+    return [(tuple(map(complex, first)), second and tuple(map(complex, second)))
+            for first, second in zip(*generate_roots(config, start, stop))]
+
+
+def _drawn_zeros(config, start, stop):
+    return [z for first, second in _samples(config, start, stop) for z in first + (second or ())]
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +61,19 @@ def _rng(seed=0):
 
 
 def test_generate_degenerate_uniform():
-    roots = generate_roots("uniform:1,1", 3, _rng())
-    assert roots.roots == (1, 1, 1)
+    assert _samples(_config("index_bound", 3, 3, "uniform:1,1"), 0, 1) == [((1, 1, 1), None)]
 
 
 def test_generate_uniform_positive():
-    roots = generate_roots("uniform:0.05,0.5", 200, _rng(3))
+    roots = _drawn_zeros(_config("index_bound", 200, 200, "uniform:0.05,0.5", 3), 0, 1)
+    assert len(roots) == 200
     assert all(r.imag == 0 and 0.05 <= r.real <= 0.5 for r in roots)
 
 
 def test_generate_log_uniform_is_log_flat():
-    values = [
-        r.real
-        for r in generate_roots("log-uniform:0.001,1000", 10000, _rng(4)).roots
-    ]
+    config = _config("index_bound", 100, 100, "log-uniform:0.001,1000", 4)
+    values = [r.real for r in _drawn_zeros(config, 0, 100)]
+    assert len(values) == 10000
     logs = np.log(values)
     span = (math.log(0.001), math.log(1000))
     assert logs.min() >= span[0] and logs.max() <= span[1]
@@ -67,21 +82,114 @@ def test_generate_log_uniform_is_log_flat():
 
 
 def test_generate_complex_disk_containment():
-    roots = generate_roots("complex-disk:1", 500, _rng(5))
+    roots = _drawn_zeros(_config("product_prop", 250, 250, "complex-disk:1", 5), 0, 1)
+    assert len(roots) == 500
     assert all(abs(r) <= 1.0 for r in roots)
     # not all collinear: both axes get used
     assert any(abs(r.imag) > 0.1 for r in roots)
 
 
 def test_generate_rejects_malformed_specs():
-    with pytest.raises(ValueError):
-        generate_roots("uniform:-1,2", 3, _rng())
-    with pytest.raises(ValueError):
-        generate_roots("uniform:2", 3, _rng())
-    with pytest.raises(ValueError):
-        generate_roots("gaussian:0,1", 3, _rng())
-    with pytest.raises(ValueError):
-        generate_roots("complex-disk:0", 3, _rng())
+    for spec in ("uniform:-1,2", "uniform:2", "gaussian:0,1", "complex-disk:0"):
+        with pytest.raises(ValueError):
+            _config("product_prop", 3, 3, spec)
+
+
+# Blocks of samples against numpy's own per-sample draws: every distribution,
+# PRODUCT_PROP pairs, a fixed degree (no degree word), and blocks across 2**32
+# and 2**64.  (claim, degree_min, degree_max, distribution, seed, start, stop)
+BLOCK_CASES = [
+    ("index_bound", 3, 3, "uniform:0.05,0.5", 1, 0, 200),
+    ("basic_inequality", 2, 8, "log-uniform:0.001,1000", 2, 0, 300),
+    ("squeeze", 12, 12, "log-uniform:0.001,1000", 3, 0, 50),
+    ("perm_sum_bound", 2, 40, "log-uniform:0.5,2", 4, 2**32 - 50, 2**32 + 50),
+    ("product_prop", 2, 8, "uniform:0.2,0.8", 5, 2**64 - 3, 2**64 + 3),
+    ("product_prop", 2, 8, "log-uniform:0.01,10", 6, 0, 200),
+    ("product_prop", 2, 8, "complex-disk:2", 7, 0, 200),
+    ("product_prop", 5, 5, "complex-disk:0.5", 8, 2**32 - 3, 2**32 + 3),
+    ("deriv_sum_bound", 2, 2, "uniform:0.05,4.05", 2**64 - 1, 0, 100),
+]
+
+
+@pytest.mark.parametrize(
+    "case", BLOCK_CASES, ids=[f"{c[0]}-{c[3]}-{c[1]}-{c[2]}" for c in BLOCK_CASES]
+)
+def test_a_block_draws_the_numpy_samples(case):
+    claim, lo, hi, dist, seed, start, stop = case
+    want = [numpy_sample(seed, i, lo, hi, dist, claim == "product_prop") for i in range(start, stop)]
+    assert _samples(_config(claim, lo, hi, dist, seed), start, stop) == want
+
+
+_DRAW_IN_CHILD = """
+import json, sys
+from limpoly import SearchConfig, generate_roots
+from oracles import numpy_sample
+for claim, lo, hi, dist, seed, start, stop in json.load(sys.stdin):
+    firsts, seconds = generate_roots(SearchConfig(claim, lo, hi, 2**70, seed, dist), start, stop)
+    drawn = [(tuple(map(complex, a)), b and tuple(map(complex, b))) for a, b in zip(firsts, seconds)]
+    pair = claim == "product_prop"
+    print(json.dumps(drawn == [numpy_sample(seed, i, lo, hi, dist, pair) for i in range(start, stop)]))
+"""
+
+
+def test_a_block_draws_the_numpy_samples_on_every_simd_target():
+    # numpy's exp kernel differs in the last bit between dispatch targets; on each one the
+    # block's one exp over all its zeros must round as the per-sample exp of the oracle does
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not found:
+        pytest.skip("numpy dispatches to no target above its baseline on this host")
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, path))
+    for level in range(len(found)):  # that target and every one above it disabled
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(found[level:])}
+        child = subprocess.run([sys.executable, "-c", _DRAW_IN_CHILD], input=json.dumps(BLOCK_CASES),
+                               env=env, capture_output=True, text=True, check=True)
+        assert child.stdout.split() == ["true"] * len(BLOCK_CASES), (found[level:], child.stdout)
+
+
+@pytest.mark.parametrize("width", [2, 7, 3 * 2**30, 2**31 + 1, 2**32 - 1])
+def test_the_degree_rule_is_numpys_integers(width):
+    # at width 2**31 + 1 about half of all 32-bit values are rejected, at 3 * 2**30 a quarter
+    low, indices = 5, range(2**32 - 150, 2**32 + 150)
+    words = np.array([_numpy_stream(9, i).bit_generator.random_raw(17) for i in indices])
+    degrees, used = search._degrees(words[:, :16], low, width)
+    first, first_used = search._degrees(words[:, :1], low, width)
+    for row, index in enumerate(indices):
+        rng = _numpy_stream(9, index)
+        assert degrees[row] == rng.integers(low, low + width), index
+        assert words[row, used[row]] == rng.bit_generator.random_raw(), index  # the next word
+        if used[row] == 1:  # word 0 alone gives the same degree
+            assert (first[row], first_used[row]) == (degrees[row], 1), index
+        else:  # numpy reads on past word 0
+            assert first_used[row] == -1, index
+    if width == 2**31 + 1:
+        assert 50 < np.count_nonzero(used > 1) < 100
+
+
+@pytest.mark.parametrize("claim, dist", [("perm_sum_bound", "log-uniform:0.001,1000"),
+                                         ("product_prop", "complex-disk:2")])
+def test_a_sample_whose_degree_rejects_word_0_draws_its_zeros_after_it(monkeypatch, claim, dist):
+    # numpy rejects a 32-bit value for degrees 2-8 about once in 1e9 samples; a degree drawn
+    # from 2**31 + 1 values, then folded into 2-8, is rejected on both halves of word 0 in
+    # about a quarter of the samples, and the oracle draws and folds the same way
+    span, redrawn = 2**31 + 1, []
+    degrees = search._degrees
+
+    def folded(words, low, width):
+        drawn, used = degrees(words, low, span)
+        redrawn.append(words.shape[1] > 1)
+        return low + (drawn - low) % width, used
+
+    monkeypatch.setattr(search, "_degrees", folded)
+    pair = claim == "product_prop"
+    want = [numpy_sample(11, i, 2, 8, dist, pair, span) for i in range(200)]
+    assert _samples(_config(claim, 2, 8, dist, 11), 0, 200) == want
+    assert 30 < sum(redrawn) < 70
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +247,11 @@ def test_config_validation():
             SearchConfig(**{**good, **bad})
     SearchConfig(**{**good, "claim_id": "product_prop", "degree_max": 150,
                     "distribution": "complex-disk:10"})
+    # numpy draws a degree from 2**32 or more values by another rule
+    wide = {**good, "distribution": "uniform:1,1", "degree_min": 2}
+    SearchConfig(**{**wide, "degree_max": 2**32})
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*32 degrees"):
+        SearchConfig(**{**wide, "degree_max": 2**32 + 1})
 
 
 # ---------------------------------------------------------------------------
@@ -201,68 +314,80 @@ def test_sample_stream_keys_of_one_shard_are_seedsequence_keys(seed, start, stop
 
 def test_empty_shard_has_no_keys_and_no_samples():
     assert _SampleStreams(3).keys(5, 5) == []
+    assert generate_roots(_config("product_prop", 2, 8, "complex-disk:1"), 5, 5) == ([], [])
     assert sum(run_search(INDEX_CFG, start=7, count=0).counts.values()) == 0
 
 
-def _draws(rng):
-    # 32-bit draws split 64-bit words: an odd count leaves half a word buffered, which a reseed drops
-    return [
-        rng.random(3, dtype=np.float32).tolist(),
-        rng.integers(2, 9),
-        rng.uniform(0.5, 2.0, 7).tolist(),
-        rng.random(3).tolist(),
-        rng.random(),
-        rng.integers(0, 2**40, 4).tolist(),
-        rng.integers(0, 10, 3, dtype=np.int32).tolist(),
-    ]
-
-
 def test_reseeded_generator_draws_the_numpy_streams():
+    # odd word counts leave Philox words buffered, which the next reseed drops
     streams = _SampleStreams(2**64 - 1)
     for index in (3, 2**32 - 1, 2**32, 2**40 + 7, 5):
-        (rng,) = streams.shard(index, index + 1)
-        assert _draws(rng) == _draws(_numpy_stream(2**64 - 1, index)), index
+        want = _numpy_stream(2**64 - 1, index).bit_generator.random_raw(7)
+        assert streams.words(index, index + 1, 7).tolist() == [want.tolist()], index
     start = 2**32 - 2
-    for index, rng in enumerate(streams.shard(start, start + 4), start):
-        assert _draws(rng) == _draws(_numpy_stream(2**64 - 1, index)), index
+    want = [_numpy_stream(2**64 - 1, i).bit_generator.random_raw(9).tolist()
+            for i in range(start, start + 4)]
+    assert streams.words(start, start + 4, 9).tolist() == want
+
+
+def _record_samples(monkeypatch):
+    """The zeros each sample of a sweep passes to run_claim, as (first, second) tuples."""
+    seen = []
+    run_claim = search.run_claim
+
+    def recording(claim_id, roots, **kwargs):
+        second = kwargs["second_roots"]
+        seen.append((roots.roots, second and second.roots))
+        return run_claim(claim_id, roots, **kwargs)
+
+    monkeypatch.setattr(search, "run_claim", recording)
+    return seen
 
 
 @pytest.mark.parametrize(
     "claim, dist", [("basic_inequality", "log-uniform:0.001,1000"), ("product_prop", "complex-disk:2")]
 )
 def test_search_shards_past_2_to_32_draw_the_numpy_zeros(monkeypatch, claim, dist):
-    seen = []
-    run_claim = search.run_claim
-
-    def recording(claim_id, roots, **kwargs):
-        seen.append((roots.roots, kwargs["second_roots"]))
-        return run_claim(claim_id, roots, **kwargs)
-
-    monkeypatch.setattr(search, "run_claim", recording)
+    seen = _record_samples(monkeypatch)
     config = SearchConfig(claim, 2, 8, 2**41, 2**64 - 1, dist)
     starts = (2**32 - 2, 2**40 + 7)
     for start in starts:
         run_search(config, start=start, count=4)
-    expected = []
-    for index in (i for start in starts for i in range(start, start + 4)):
-        rng = _numpy_stream(config.seed, index)
-        degree = int(rng.integers(2, 9))
-        first = generate_roots(dist, degree, rng)
-        second = generate_roots(dist, degree, rng) if claim == "product_prop" else None
-        expected.append((first.roots, second))
-    assert seen == expected
+    pair = claim == "product_prop"
+    assert seen == [numpy_sample(config.seed, i, 2, 8, dist, pair)
+                    for start in starts for i in range(start, start + 4)]
 
 
-def test_shard_longer_than_one_key_block_draws_the_numpy_streams():
+def _assert_blocks_draw_the_numpy_streams(monkeypatch, claim, lo, hi, dist, start, count):
+    """A two-block shard: its blocks' sizes, and each sample against the numpy oracle."""
+    seen, blocks = _record_samples(monkeypatch), []
+    draw = search.generate_roots
+
+    def recording(config, first, stop):
+        blocks.append(stop - first)
+        return draw(config, first, stop)
+
+    monkeypatch.setattr(search, "generate_roots", recording)
+    config = SearchConfig(claim, lo, hi, 2**41, 5, dist)
+    run_search(config, start=start, count=count)
+    assert len(blocks) == 2 and sum(blocks) == count
+    assert max(blocks) == min(search._KEY_BLOCK, search._BLOCK_WORDS // search._layout(config)[2])
+    pair = claim == "product_prop"
+    assert seen == [numpy_sample(5, i, lo, hi, dist, pair) for i in range(start, start + count)]
+
+
+def test_shard_longer_than_one_key_block_draws_the_numpy_streams(monkeypatch):
     start = 2**32 - search._KEY_BLOCK - 1  # the second block starts at 2**32 - 1
-    stop = start + search._KEY_BLOCK + 3
-    checked = {start, stop - 5, stop - 4, stop - 3, stop - 2, stop - 1}
-    streams = _SampleStreams(5)
-    for index, rng in enumerate(streams.shard(start, stop), start):
-        if index in checked:
-            assert _draws(rng) == _draws(_numpy_stream(5, index)), index
-            checked.remove(index)
-    assert not checked
+    _assert_blocks_draw_the_numpy_streams(
+        monkeypatch, "index_bound", 2, 8, "uniform:0.05,2", start, search._KEY_BLOCK + 3
+    )
+
+
+def test_blocks_of_wide_samples_stay_within_their_words(monkeypatch):
+    # 481 words a sample: blocks of 136 samples keep a block within _BLOCK_WORDS
+    _assert_blocks_draw_the_numpy_streams(
+        monkeypatch, "product_prop", 100, 120, "complex-disk:1", 2**32 - 140, 150
+    )
 
 
 def test_search_longer_than_one_key_block_equals_a_merge_of_shards():
@@ -329,7 +454,8 @@ def test_shard_merge_equals_single_shot():
             assert canonical_dumps(report_to_jsonable(merged)) == single
 
 
-# Uniform draws keep the digests free of numpy's CPU-dispatched exp/log.
+# Uniform and complex-disk draws keep the digests free of numpy's CPU-dispatched
+# exp (ROADMAP item 17): no log-uniform report is pinned.
 PINNED_REPORTS = [
     ("index_bound", 3, 3, "uniform:0.05,0.5", {},
      "3222f6543212978c0d5c0926a9b4cc2de89de37a8f3b68a425311361952d7a23"),
@@ -345,11 +471,15 @@ PINNED_REPORTS = [
      "1fcc0f1ca89a4bc1a50e4f10c2497037308c001a127f66a098a404aa52c6a325"),
     ("squeeze", 2, 8, "uniform:0.05,2", {},
      "57ca1f0a44a46e3a043dc3fce3b4d2aaedcce42f5210b79bb989e19851de911f"),
+    # radius and angle words, and the second multiset's start after the first
+    ("product_prop", 2, 8, "complex-disk:2", {},
+     "ece10017b08582b597eaf3ae24e3abf1fa637f0da98525681bbc856dfc657609"),
 ]
 
 
 @pytest.mark.parametrize(
-    "claim, lo, hi, dist, extra, digest", PINNED_REPORTS, ids=[c[0] for c in PINNED_REPORTS]
+    "claim, lo, hi, dist, extra, digest", PINNED_REPORTS,
+    ids=[c[0] if c[3].startswith("uniform:") else f"{c[0]}-{c[3]}" for c in PINNED_REPORTS],
 )
 def test_canonical_reports_are_pinned(claim, lo, hi, dist, extra, digest):
     # A digest changes only together with a CHANGES.md entry saying why the reports changed.
@@ -359,6 +489,18 @@ def test_canonical_reports_are_pinned(claim, lo, hi, dist, extra, digest):
     )
     dumped = canonical_dumps(report_to_jsonable(run_search(config)))
     assert hashlib.sha256(dumped.encode("ascii")).hexdigest() == digest
+
+
+def test_a_shard_across_2_to_32_and_a_key_block_is_pinned():
+    # index_bound at degree 3-3 draws no degree word; its digest is pinned at sample 0 above
+    config = SearchConfig(
+        claim_id="index_bound", degree_min=3, degree_max=3, samples=2**41, seed=1,
+        distribution="uniform:0.05,0.5", counterexample_cap=10,
+    )
+    dumped = canonical_dumps(report_to_jsonable(run_search(config, 2**32 - 1030, 1040)))
+    assert hashlib.sha256(dumped.encode("ascii")).hexdigest() == (
+        "5e7fc03e2244804945ca3ae5440bf5d02c59d3b86e3d49dfca1fed3cccde41cf"
+    )
 
 
 def test_counterexample_cap_and_overflow():
