@@ -16,8 +16,9 @@ code paths only polish its eigenvalues:
 * all zeros real: the matrix is symmetric, and its i-th eigenvalue lies
   in the i-th gap between neighbouring zeros, where f is strictly
   decreasing and its sign brackets the one critical point.  The search
-  from that start is Newton-accelerated and returns the bisection's
-  float, whatever the start: its computed value is non-increasing over
+  from that start is Newton-accelerated, each step's slope taken from the
+  terms of the sum just computed, and returns the bisection's float,
+  whatever the start: its computed value is non-increasing over
   consecutive floats too (each term is a correctly rounded monotone
   function of x, and fsum rounds correctly), so bracketing Newton steps
   fix the sign that bisection to ulp resolution would see at each of its
@@ -39,8 +40,12 @@ them, which is exact in the normal range, and maps the points back.
 The real path takes the midpoint of the largest and smallest exponents
 of the nonzero zeros, raised to keep the largest below 2**1022; while
 those exponents span well under the normal range, no zero, gap or term
-m / (x - v) is subnormal or overflows.  The complex path brings the
-largest component near 1, so no difference of two zeros overflows.
+m / (x - v) is subnormal or overflows.  A gap that is still narrower
+than the smallest normal double is solved on the zeros times its own
+power of two, which brings its ends near 1: the zeros that then leave
+double range are infinite, and add a signed 0 to the sum.  The complex
+path brings the largest component near 1, so no difference of two
+zeros overflows.
 
 Higher derivatives repeat the step on the previous stage's points.
 Solver state is per call; calls are independent and concurrency-safe.
@@ -48,11 +53,13 @@ Solver state is per call; calls are independent and concurrency-safe.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import struct
 import sys
 from dataclasses import dataclass
+from operator import truediv
 
 import numpy as np
 
@@ -81,6 +88,7 @@ SIMULTANEOUS = "simultaneous-iteration"
 _SWEEP_BUDGET = 200
 _NEWTON_BUDGET = 64  # bracketing steps per interval before the bisection replay
 _STEP_TOL = 1e-13
+_MIN_NORMAL = sys.float_info.min
 _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros count as repeated
 
 
@@ -137,16 +145,21 @@ def _compressed_zeros(clusters, eig) -> list:
     the power of two that brings their largest component below 1, so no
     entry overflows.  A LAPACK failure raises ConvergenceError.
     """
-    v = np.array([c for c, _ in clusters])
-    scale = 2.0 ** -math.frexp(np.abs(v.view(float)).max())[1]  # components: a modulus can overflow
+    vals, mults = zip(*clusters)
+    v = np.array(vals)
+    scale = 2.0 ** -math.frexp(max(map(abs, v.view(float).tolist())))[1]  # components: a modulus can overflow
     v *= scale
-    w = np.sqrt(np.array([m for _, m in clusters]) / sum(m for _, m in clusters))
+    n = sum(mults)
+    w = np.array([math.sqrt(m / n) for m in mults])
     p = w[1:] / (1.0 + w[0])
     a = v[1:] * p
-    c = v[0] + (a * p).sum()
+    c = v[0] + np.add.reduce(a * p)
     w = w[1:]
+    block = np.diag(v[1:])
+    block += np.multiply.outer(w, c * w - a)
+    block -= np.multiply.outer(a, w)
     try:
-        zeros = eig(np.diag(v[1:]) + w[:, None] * (c * w - a) - a[:, None] * w)
+        zeros = eig(block)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"no eigenvalue start: {exc}", (), ()) from None
     return (zeros / scale).tolist()
@@ -157,29 +170,42 @@ def _compressed_zeros(clusters, eig) -> list:
 
 
 def _cluster_reals(values) -> tuple[list[tuple[float, int]], int]:
-    """Sorted (representative, multiplicity) pairs of the values times 2**-e, and e."""
-    exponents = [math.frexp(v)[1] for v in values if v] or [0]
-    e = max((min(exponents) + max(exponents)) // 2, max(exponents) - 1022)
-    ordered = sorted(math.ldexp(v, -e) for v in values)
-    clusters: list[list[float]] = [[ordered[0]]]
-    for v in ordered[1:]:
-        if _coincident(clusters[-1][-1], v):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(math.fsum(c) / len(c), len(c)) for c in clusters], e
+    """Sorted (representative, multiplicity) pairs of the values times 2**-e, and e.
+
+    e comes from the exponents of the largest and the smallest nonzero
+    magnitude.  A lone value is its own representative, with -0.0 read as
+    +0.0, as fsum reads it; a repeated one is the mean of its members.
+    """
+    ordered = sorted(values)
+    i = bisect.bisect_left(ordered, 0.0)
+    j = bisect.bisect_right(ordered, 0.0, i)
+    near = ordered[i - 1:i] + ordered[j:j + 1]  # the nonzero values nearest 0
+    e = 0
+    if near:
+        small, big = math.frexp(min(map(abs, near)))[1], math.frexp(max(-ordered[0], ordered[-1]))[1]
+        e = max((small + big) // 2, big - 1022)
+        if e:
+            ordered = [math.ldexp(v, -e) for v in ordered]
+    # a run of coincident values ends where _coincident(u, v) fails: for u <= v, max(|u|, |v|) is max(-u, v)
+    ends = [i for i, u, v in zip(range(1, len(ordered)), ordered, ordered[1:])
+            if v - u > _CLUSTER_GAP * (v if v > -u else -u)]
+    clusters = []
+    i = 0
+    for j in ends + [len(ordered)]:
+        clusters.append((ordered[i] + 0.0, 1) if j - i == 1 else (math.fsum(ordered[i:j]) / (j - i), j - i))
+        i = j
+    return clusters, e
 
 
-def _log_derivative(clusters, x: float, scale: float = 1.0) -> tuple[float, float]:
-    """f(x) = sum m / (x - v), correctly rounded, and -f'(x) scale^2."""
-    terms = []
-    slope = 0.0
-    for v, m in clusters:
-        r = x - v
-        terms.append(m / r)
-        u = scale / r
-        slope += m * u * u
-    return math.fsum(terms), slope
+def _log_derivative(clusters, x: float) -> tuple[float, list[float]]:
+    """f(x) = sum m / (x - v), correctly rounded, and its terms."""
+    terms = [m / (x - v) for v, m in clusters]
+    return math.fsum(terms), terms
+
+
+def _sqrt_multiplicities(clusters) -> list[float]:
+    """sqrt(m) of each cluster (v, m), or [] where every m is 1: the weights of the Newton slope."""
+    return [] if all(m == 1 for _, m in clusters) else [math.sqrt(m) for _, m in clusters]
 
 
 def _zero_band(v: float) -> float:
@@ -217,7 +243,7 @@ def _zero_run_end(clusters, zero: float, bound: float) -> float:
     return _from_ordinal(good)
 
 
-def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
+def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> float:
     """The single derivative zero in the open interval (lo, hi).
 
     Newton-accelerated from start, returns the bisection's float: the
@@ -240,8 +266,13 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
     would move x by the same tiny amount.
 
     Then Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
-    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  From an
-    eigenvalue start they usually end after about three sums.  A step
+    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  Each
+    step's slope comes from the terms t = m / (x - v) of the sum just
+    taken: -f'(x) = sum t^2 / m, whose square root math.hypot takes,
+    without overflow, over t / sqrt(m).  roots are those sqrt(m), as
+    _sqrt_multiplicities gives them, and are read from the clusters when
+    not given.  From an eigenvalue start the steps usually end after
+    about three sums, the last of which leaves a and b adjacent.  A step
     that leaves the bracket, or has no usable slope, becomes its midpoint;
     a step too small to move x probes the next float toward the zero, and
     each later such probe goes twice as far.
@@ -287,7 +318,9 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
             a, b = (inner, b) if s > 0.0 else (a, -inner)
         else:
             run = (-inner, inner)
-    d = 0.5 * hi - 0.5 * lo  # the step's sums are taken relative to the half-width
+    d = 0.5 * hi - 0.5 * lo  # the step is taken relative to the half-width
+    if roots is None:
+        roots = _sqrt_multiplicities(clusters)
     x = start if lo < start < hi else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     probe = 1.0  # ulps of x
     for _ in range(0 if run else _NEWTON_BUDGET):
@@ -295,7 +328,7 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
             x = 0.5 * a + 0.5 * b
             if not a < x < b:
                 break
-        s, slope = _log_derivative(clusters, x, d)
+        s, terms = _log_derivative(clusters, x)
         if s > 0.0:
             a = x
         elif s < 0.0:
@@ -303,8 +336,11 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
         else:
             run = (x, x)
             break
+        if math.nextafter(a, b) == b:  # the bracket cannot shrink
+            break
+        h = d * math.hypot(*(map(truediv, terms, roots) if roots else terms))  # sqrt(-f'(x)) d
         sd = s * d
-        den = sd * (d / (x - lo) - d / (hi - x)) - slope  # F'(x) d^2 / ((x - lo)(hi - x))
+        den = sd * (d / (x - lo) - d / (hi - x)) - h * h  # F'(x) d^2 / ((x - lo)(hi - x))
         x_new = x - d * sd / den if -math.inf < den < 0.0 else math.nan  # nan: bisect
         if x_new == x:  # probe toward the zero
             x_new = x + math.copysign(probe * math.ulp(x), s)
@@ -331,16 +367,30 @@ def _interval_zero(clusters, lo: float, hi: float, start: float) -> float:
 
 
 def _real_critical_points(values) -> list[float]:
-    """Sorted zeros of the derivative of prod(x - v) for real values v."""
+    """Sorted zeros of the derivative of prod(x - v) for real values v.
+
+    The stage's power of two can leave a gap subnormal beside a zero near
+    the top of double range; that gap is solved at its own power of two.
+    """
     clusters, e = _cluster_reals(values)
-    points: list[float] = []
-    for rep, mult in clusters:
-        points.extend([rep] * (mult - 1))
     starts = _compressed_zeros(clusters, np.linalg.eigvalsh)
-    for (lo, _), (hi, _), start in zip(clusters, clusters[1:], starts):
-        points.append(_interval_zero(clusters, lo, hi, start))
-    points.sort()
-    return [math.ldexp(p, e) for p in points]
+    roots = _sqrt_multiplicities(clusters)
+    points: list[float] = []
+    for (lo, mult), (hi, _), start in zip(clusters, clusters[1:], starts):
+        if mult > 1:
+            points += [math.ldexp(lo, e)] * (mult - 1)
+        rescaled, k = clusters, 0
+        if hi - lo < _MIN_NORMAL:
+            # k > 0, as coincident zeros are one cluster: max(-lo, hi) < 2**-1022 / _CLUSTER_GAP
+            k = -math.frexp(max(-lo, hi))[1]
+            # two factors, as 2**k may overflow; a product beyond double range is infinite
+            rescaled = [(v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2), m) for v, m in clusters]
+            start = math.ldexp(start, k) if lo < start < hi else math.nan
+            lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
+        points.append(math.ldexp(_interval_zero(rescaled, lo, hi, start, roots), e - k))
+    rep, mult = clusters[-1]
+    points += [math.ldexp(rep, e)] * (mult - 1)
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ with exact rational arithmetic, polynomial values are taken at 60
 digits with mpmath, elementary symmetric values come from
 the textbook recurrence, hull containment is a from-scratch
 monotone-chain construction, and real derivative zeros are bisected at
-60 digits with mpmath.  bisection_interval_zero is the double-precision
+60 digits with mpmath, or in exact rationals where the zeros' scales
+span the whole double range.  bisection_interval_zero is the double-precision
 bisection that the real critical-point path once ran, kept as the
 reference for the float that path must still return, and scan_groups is
 the all-pairs grouping that the complex path once ran, kept as the
@@ -212,6 +213,27 @@ def hull_distance(point, vertices):
         _segment_distance(p, hull[i], hull[(i + 1) % len(hull)])
         for i in range(len(hull))
     )
+
+
+def rational_derivative_zeros(values):
+    """Zeros of the derivative of prod(x - v) for distinct positive values, as exact rationals.
+
+    Each gap between neighbouring values holds one zero of sum 1 / (x - v);
+    it is bisected on the sign of that sum in exact rational arithmetic,
+    which neither overflows nor underflows, until the bracket is narrower
+    than 2**-64 of its lower end.
+    """
+    values = sorted(Fraction(v) for v in values)
+    zeros = []
+    for lo, hi in zip(values, values[1:]):
+        while hi - lo > lo / 2**64:
+            mid = (lo + hi) / 2
+            if sum(1 / (mid - v) for v in values) > 0:
+                lo = mid
+            else:
+                hi = mid
+        zeros.append((lo + hi) / 2)
+    return zeros
 
 
 def real_derivative_tower(roots, order):

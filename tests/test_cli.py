@@ -123,6 +123,26 @@ def test_analyze_subnormal_real_zeros(capsys):
     assert points == [[1.4226497308104e-310, 0.0], [2.5773502691896e-310, 0.0]]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("analyze", "--roots=1e-320,3e-320,1e300"), 0),
+        (("analyze", "--roots=1e-320,0+3e-320i,1e300"), 0),  # the pullback solves the real stage
+        (("verify", "--claim", "squeeze", "--roots=1e-320,3e-320,1e300", "--eps", "1e300"), 2),
+    ],
+)
+def test_a_subnormal_gap_beside_a_huge_real_zero(capsys, argv, code):
+    # scaled by the stage's one power of two, set by 1e300, the gap between the tiny zeros
+    # stayed subnormal: both of its near terms overflowed, and fsum raised on -inf + inf
+    assert run_cli(capsys, *argv)[::2] == (code, "")
+
+
+def test_analyze_places_the_point_of_a_subnormal_gap(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--roots=1e-320,3e-320,1e300")
+    assert code == 0
+    assert "critical points (interlace-bisection): 1.999978e-320, 6.666667e+299\n" in out
+
+
 def test_analyze_mixed_scale_real_zeros(capsys):
     code, out, err = run_cli(capsys, "analyze", "--roots", "1e-310,2e-310,0.5", "--json")
     assert (code, err) == (0, "")

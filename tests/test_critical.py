@@ -1,10 +1,12 @@
 import cmath
+import hashlib
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,7 @@ from oracles import (
     complex_derivative_zeros,
     distance_summary,
     hull_distance,
+    rational_derivative_zeros,
     real_derivative_tower,
     scan_groups,
 )
@@ -758,6 +761,27 @@ def test_interval_zero_evaluates_the_sum_a_few_times(monkeypatch):
     assert len(calls) / intervals <= 4  # 2.92 measured
 
 
+def test_interval_zero_weighs_repeated_zeros_in_its_slope(monkeypatch):
+    # towers from zeros repeated 1 to 8 times; a Newton slope that counted each
+    # distinct zero once took 3.32 sums a gap here
+    log_derivative = critical._log_derivative
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_derivative(*args)
+
+    monkeypatch.setattr(critical, "_log_derivative", counted)
+    rng = np.random.default_rng(41)
+    intervals = 0
+    for i in range(8):
+        values = [v for v in _log_uniform(40 + i, 6) for _ in range(int(rng.integers(1, 9)))]
+        while len(values) >= 2:
+            intervals += len(_cluster_reals(values)[0]) - 1
+            values = _real_critical_points(values)
+    assert len(calls) / intervals <= 3.2  # 2.80 measured
+
+
 def _exact_zero_gaps():
     """(clusters, lo, hi, start) of the case gaps whose result is a float where the sum is 0."""
     return [
@@ -877,9 +901,9 @@ def test_zero_band_leaves_every_zero_unchanged(v, fraction):
     "values, points, most",
     [
         # the scaled gap is (-2**-133, 2**-133): f's exact zero is near -2**-400, the sum is flat to 2**-187
-        ([-1.0, 1.0, 1e80], ["-0x1.0000000000000p-54", "0x1.1fdf4e14b5240p+265"], 8),  # 7 measured
-        ([-1e-5, 1e-5, 1e100, 1e101], None, 16),  # 9 measured
-        ([-1.0, 1.0, 1e200], None, 8),  # 6 measured
+        ([-1.0, 1.0, 1e80], ["-0x1.0000000000000p-54", "0x1.1fdf4e14b5240p+265"], 8),  # 6 measured
+        ([-1e-5, 1e-5, 1e100, 1e101], None, 16),  # 8 measured
+        ([-1.0, 1.0, 1e200], None, 8),  # 7 measured
     ],
 )
 def test_interval_zero_steps_over_the_flat_band_about_zero(monkeypatch, values, points, most):
@@ -899,3 +923,88 @@ def test_interval_zero_steps_over_the_flat_band_about_zero(monkeypatch, values, 
     assert [_interval_zero(clusters, *gap) for gap in gaps] == expected
     if points is not None:
         assert [x.hex() for x in got] == points
+
+
+# ---------------------------------------------------------------------------
+# a gap narrower than the smallest normal double, beside a zero near the top of double range
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1e-320, 3e-320, 1e300],
+        [2e-320, 3e-320, 5e-320, 1e300],
+        [1e-320, 3e-320, 1.7e308],
+        [5e-308, 1e-307, 1.7e308],
+    ],
+)
+def test_a_subnormal_gap_beside_a_huge_zero_is_solved_at_its_own_scale(values):
+    # the stage's one power of two, set by the huge zero, leaves the gap subnormal; both of
+    # its near terms overflowed there, and fsum raised on -inf + inf
+    points = _real_critical_points(values)
+    for got, want in zip(points, rational_derivative_zeros(values)):
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(got)), (got.hex(), float(want).hex())
+
+
+def test_a_subnormal_gap_point_is_the_bisections_float_at_its_own_scale():
+    # solved at the stage's scale it came out 0x1.af72442612912p-1021, 1 ulp below the true zero
+    assert _real_critical_points([5e-308, 1e-307, 1.7e308])[0].hex() == "0x1.af72442612913p-1021"
+
+
+# ---------------------------------------------------------------------------
+# the real path's floats, pinned
+
+
+def _words(seed):
+    """53-bit integers from a 64-bit linear congruential generator (Knuth's MMIX constants)."""
+    state = seed
+    while True:
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        yield state >> 11
+
+
+def _pinned_towers():
+    """150 sets of 2 to 40 real zeros, built from integers and math.ldexp alone.
+
+    They are the same bits on every host.  In turn: positive zeros spread
+    over 2**-10 to 2**10, zeros of both signs over 2**-30 to 2**30,
+    uniform on [-1, 1], zeros repeated 1 to 8 times, small integers
+    (where the sum is exactly 0 at floats, and across 0), and zeros of
+    one size near 1e-300 or 1e300 with both signs.
+    """
+    words = _words(2026)
+
+    def draw(k):
+        return next(words) % k
+
+    def spread(lo, hi):
+        return math.ldexp(2**52 + draw(2**52), lo + draw(hi - lo + 1) - 52)
+
+    def sign():
+        return (-1.0, 1.0)[draw(2)]
+
+    kinds = [
+        lambda n: [spread(-10, 10) for _ in range(n)],
+        lambda n: [sign() * spread(-30, 30) for _ in range(n)],
+        lambda n: [math.ldexp(draw(2**54) - 2**53, -53) for _ in range(n)],
+        lambda n: [v for v in [spread(-3, 3) for _ in range(1 + n // 5)] for _ in range(1 + draw(8))][:n],
+        lambda n: [float(draw(13) - 6) for _ in range(n)],
+        lambda n: [sign() * spread(s - 5, s + 5) for s in [(-997, 997)[draw(2)]] for _ in range(n)],
+    ]
+    for i in range(150):
+        values = kinds[i % len(kinds)](2 + draw(39))
+        yield values if len(values) >= 2 else values * 2
+
+
+def test_real_critical_points_are_pinned():
+    # the hex of every point of every stage of each tower: 3,171 stages, 41,849 gaps,
+    # 544 ends of runs where the sum is exactly 0, and 1,482 gaps across 0
+    digest = hashlib.sha256()
+    stages = 0
+    for values in _pinned_towers():
+        while len(values) >= 2:
+            values = _real_critical_points(values)
+            digest.update(" ".join(x.hex() for x in values).encode() + b"\n")
+            stages += 1
+    assert stages == 3171
+    assert digest.hexdigest() == "6a5b29dbfb0d55c0fb748f8590b677ea968dc4036b67a8906c842db01e9e28c2"
