@@ -15,16 +15,13 @@ code paths only polish its eigenvalues:
 
 * all zeros real: the matrix is symmetric, and its i-th eigenvalue lies
   in the i-th gap between neighbouring zeros, where f is strictly
-  decreasing and its sign brackets the one critical point.  The search
-  from that start is Newton-accelerated, each step's slope taken from the
-  terms of the sum just computed, and returns the bisection's float,
-  whatever the start: its computed value is non-increasing over
-  consecutive floats too (each term is a correctly rounded monotone
-  function of x, and fsum rounds correctly), so bracketing Newton steps
-  fix the sign that bisection to ulp resolution would see at each of its
-  midpoints.  Where the steps pin two adjacent floats inside an interval
-  of one sign, the bisection would end there, and their midpoint is
-  returned; elsewhere it is replayed from those signs.
+  decreasing and its sign brackets the one critical point.  Its computed
+  value is non-increasing over consecutive floats too (each term is a
+  correctly rounded monotone function of x, and fsum rounds correctly),
+  so the point is defined by the computed signs alone, whatever the
+  start: the midpoint of the last float where the sum is >= 0 and the
+  first where it is <= 0.  Newton steps from the start, each step's
+  slope taken from the terms of the sum just computed, find that pair.
 * otherwise: total-step Aberth sweeps on arrays, no BLAS call, on the
   secular form of the zeros, that is on Q(z) = f(z) prod (z - v_i)
   evaluated through f, from the eigenvalues rounded to a grid, so
@@ -86,7 +83,7 @@ INTERLACE = "interlace-bisection"
 SIMULTANEOUS = "simultaneous-iteration"
 
 _SWEEP_BUDGET = 200
-_NEWTON_BUDGET = 64  # bracketing steps per interval before the bisection replay
+_NEWTON_BUDGET = 64  # bracketing steps per interval before bisection over the floats' places
 _STEP_TOL = 1e-13
 _MIN_NORMAL = sys.float_info.min
 _CLUSTER_GAP = 1e-12  # gap, relative to the zeros' size, below which zeros count as repeated
@@ -244,18 +241,20 @@ def _zero_run_end(clusters, zero: float, bound: float) -> float:
 
 
 def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> float:
-    """The single derivative zero in the open interval (lo, hi).
+    """The single derivative zero in the open interval (lo, hi), read off the signs of the sum.
 
-    Newton-accelerated from start, returns the bisection's float: the
-    float that bisection of (lo, hi) on the sign of f returns when run
-    until the bracket cannot shrink.  f is strictly decreasing on
-    (lo, hi), positive near lo and negative near hi, and its computed
-    value is non-increasing over consecutive floats there: each term
-    m / (x - v) is a correctly rounded, monotone function of x, and fsum
-    rounds the exact sum of the terms correctly.  So a sign seen at one
-    float holds at every float beyond it, and the result depends only on
-    those signs, not on the start or the steps that visit them.  A start
-    that is not a float inside (lo, hi) becomes the midpoint.
+    f is strictly decreasing on (lo, hi), positive near lo and negative
+    near hi, and its computed value is non-increasing over consecutive
+    floats there: each term m / (x - v) is a correctly rounded, monotone
+    function of x, and fsum rounds the exact sum of the terms correctly.
+    So the result is defined by the computed signs alone: 0.0 where
+    (lo, hi) holds 0 and the sum is 0 there, and otherwise 0.5*p + 0.5*q,
+    with p the last float of (lo, hi) where the sum is >= 0 and q the
+    first where it is <= 0.  p and q are two adjacent floats about a sign
+    change, or the two ends of a run of floats where the sum is exactly 0.
+    The result depends on neither the start nor the steps that visit
+    those floats.  A start that is not a float inside (lo, hi) becomes
+    the midpoint.
 
     Across 0, the floats near 0 are finer than the sum can see: while |x|
     is below a band set by the ulps of lo and hi, every x - v rounds to -v,
@@ -266,77 +265,47 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
     would move x by the same tiny amount.
 
     Then Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
-    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b).  Each
-    step's slope comes from the terms t = m / (x - v) of the sum just
-    taken: -f'(x) = sum t^2 / m, whose square root math.hypot takes,
-    without overflow, over t / sqrt(m).  roots are those sqrt(m), as
-    _sqrt_multiplicities gives them, and are read from the clusters when
-    not given.  From an eigenvalue start the steps usually end after
-    about three sums, the last of which leaves a and b adjacent.  A step
-    that leaves the bracket, or has no usable slope, becomes its midpoint;
-    a step too small to move x probes the next float toward the zero, and
-    each later such probe goes twice as far.
-
-    The steps usually end with a and b adjacent floats.  If lo and hi also
-    have one sign, the bisection ends at exactly (a, b), and 0.5*a + 0.5*b
-    is returned without it.  That midpoint, mid(x, y), is non-decreasing
-    in x and in y and takes three consecutive floats x < x' < x'' of one
-    sign to x'.  Where halving is exact, the exact midpoint, in [x', x'')
-    and nearer to x', rounds to x'.  Below 2**-1021 every float is a
-    multiple of u = 2**-1074 and halves round ties-to-even: p u and
-    (p + 2) u give (p + 1) u, one half rounding up where the other rounds
-    down, and 2**-1021 - u and 2**-1021 + 2u give 2**-1021 + u, a tie that
-    rounds to the even 2**-1021.  So mid(x, y), lying between mid(x, x'')
-    and mid(y'', y) for y'' two floats below y, is strictly inside (x, y)
-    whenever a float is.  Every midpoint then falls at or below a or at or
-    above b, where its sign is known, and the bracket stops shrinking only
-    at (a, b).  The walk is short.  With n zeros counted with
-    multiplicity and m of them at lo, the zero x of f has
-    m / (x - lo) <= (n - m) / (hi - x), so it is at least (hi - lo) / n
-    from lo, and likewise from hi; |x| is no smaller, as (lo, hi) does not
-    hold 0.  As ulp(x) >= |x| 2**-53 for every float, subnormal or not,
-    about 53 + log2(n) halvings reach one ulp of x, well inside the
-    200-step cap.
+    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b) until a
+    and b are adjacent floats.  Each step's slope comes from the terms
+    t = m / (x - v) of the sum just taken: -f'(x) = sum t^2 / m, whose
+    square root math.hypot takes, without overflow, over t / sqrt(m).
+    roots are those sqrt(m), as _sqrt_multiplicities gives them, and are
+    read from the clusters when not given.  From an eigenvalue start the
+    steps usually end after about three sums.  A step that leaves the
+    bracket, or has no usable slope, becomes its midpoint; a step too
+    small to move x probes the next float toward the zero, and each later
+    such probe goes twice as far.  Should the steps run out, the bracket
+    is bisected over the floats' places, in at most 64 more sums.
 
     Where f is exactly 0 at a float, the floats where it is 0 form one
-    run, and its ends are found from that float: steps toward a and toward
-    b double while f stays 0, then the last one is bisected.  a and b
-    become the floats just outside the run, and a midpoint strictly
-    between them is a zero of f with no further sum.
-
-    Otherwise the bisection is replayed: a midpoint at or below a is
-    positive, one at or above b negative, and f is evaluated only at a
-    midpoint strictly inside (a, b).  That is needed where the steps ran
-    out or (lo, hi) holds 0.
+    run, and its ends q and p are found from that float: steps toward a
+    and toward b double while f stays 0, then the last one is bisected.
     """
     a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
-    run = None  # two floats where f is 0: so it is at every float between
     if lo < 0.0 < hi:  # inner: the band's largest float
         inner = math.nextafter(min(_zero_band(lo), _zero_band(hi)), 0.0)
         s = _log_derivative(clusters, 0.0)[0]
-        if s:
-            a, b = (inner, b) if s > 0.0 else (a, -inner)
-        else:
-            run = (-inner, inner)
+        if not s:
+            return 0.0
+        a, b = (inner, b) if s > 0.0 else (a, -inner)
     d = 0.5 * hi - 0.5 * lo  # the step is taken relative to the half-width
     if roots is None:
         roots = _sqrt_multiplicities(clusters)
     x = start if lo < start < hi else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     probe = 1.0  # ulps of x
-    for _ in range(0 if run else _NEWTON_BUDGET):
-        if not a < x < b:
+    for k in range(_NEWTON_BUDGET + 64):
+        if k >= _NEWTON_BUDGET:  # the steps ran out: bisect over the floats' places
+            x = _from_ordinal((_ordinal(a) + _ordinal(b)) // 2)
+        elif not a < x < b:
             x = 0.5 * a + 0.5 * b
-            if not a < x < b:
-                break
         s, terms = _log_derivative(clusters, x)
         if s > 0.0:
             a = x
         elif s < 0.0:
             b = x
         else:
-            run = (x, x)
-            break
-        if math.nextafter(a, b) == b:  # the bracket cannot shrink
+            return 0.5 * _zero_run_end(clusters, x, a) + 0.5 * _zero_run_end(clusters, x, b)
+        if math.nextafter(a, b) == b:
             break
         h = d * math.hypot(*(map(truediv, terms, roots) if roots else terms))  # sqrt(-f'(x)) d
         sd = s * d
@@ -346,24 +315,7 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0
         x = x_new
-    if run:
-        a = math.nextafter(_zero_run_end(clusters, run[0], a), lo)
-        b = math.nextafter(_zero_run_end(clusters, run[1], b), hi)
-    elif math.nextafter(a, b) == b and not lo < 0.0 < hi:
-        return 0.5 * a + 0.5 * b
-    for _ in range(200):
-        mid = 0.5 * lo + 0.5 * hi
-        if mid <= lo or mid >= hi:
-            break
-        s = (1.0 if mid <= a else -1.0 if mid >= b
-             else 0.0 if run else _log_derivative(clusters, mid)[0])
-        if s > 0.0:
-            lo = mid
-        elif s < 0.0:
-            hi = mid
-        else:
-            return mid
-    return 0.5 * lo + 0.5 * hi
+    return 0.5 * a + 0.5 * b
 
 
 def _real_critical_points(values) -> list[float]:

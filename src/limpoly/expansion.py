@@ -69,10 +69,11 @@ def taylor_shift(roots: RootsLike, center: complex) -> tuple[complex, ...]:
 
     The coefficients of prod(y - (a_i - center)), multiplied in the given
     order; t_n is exactly 1.  At any center, each t_k is off by about n
-    units of roundoff of e_{n-k}(|a_i - center|) at most.
+    units of roundoff of e_{n-k}(|a_i - center|) at most.  A part that is
+    exactly zero is +0.0, whatever sign the products left on it.
     """
     c = complex(center)
-    return _gap_product(tuple(a - c for a in RootMultiset(roots)))
+    return tuple(t + 0j for t in _gap_product(tuple(a - c for a in RootMultiset(roots))))
 
 
 def _expand_about(values: tuple[float, ...], center_index: int, sign: str) -> LocalExpansion:

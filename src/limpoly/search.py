@@ -10,18 +10,16 @@ seed's share of that key, derives the keys of its samples in numpy
 passes over blocks of samples, reads each sample's raw Philox words, and
 derives a block's degrees and zeros from them in numpy passes.  Reports
 are canonically serializable: identical config and seed give
-byte-identical JSON (wall time is kept out of the canonical form).
+byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import heapq
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +88,6 @@ _LOG_MIN = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@functools.lru_cache(maxsize=64)  # a sweep draws with one spec: parse it once, not per draw
 def _parse_distribution(spec: str):
     kind, _, rest = spec.partition(":")
     if kind not in _DISTRIBUTION_KINDS:
@@ -202,7 +199,6 @@ class SearchReport:
     counterexamples: list
     overflow: int  # counterexamples found beyond the stored cap
     margin_histograms: dict  # degree -> bucket counts over conclusion margins
-    wall_time_s: float  # volatile; excluded from the canonical serialization
 
 
 def config_hash(config: SearchConfig) -> str:
@@ -388,7 +384,7 @@ def _lowest(records, cap: int) -> list:
     return heapq.nsmallest(cap, records, key=lambda r: r.instance_hash)
 
 
-def _capped(config, counts, histograms, records, overflow, wall) -> SearchReport:
+def _capped(config, counts, histograms, records, overflow) -> SearchReport:
     # Keep the cap lowest instance hashes and count the rest as overflow.  Sweeps
     # and merges both end here, so shard-then-merge equals single-shot.
     kept = _lowest(records, config.counterexample_cap)
@@ -398,7 +394,6 @@ def _capped(config, counts, histograms, records, overflow, wall) -> SearchReport
         counterexamples=kept,
         overflow=overflow + len(records) - len(kept),
         margin_histograms=histograms,
-        wall_time_s=wall,
     )
 
 
@@ -414,7 +409,6 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     if not start <= end <= config.samples:
         raise ValueError("shard count must be nonnegative and end within the configured samples")
 
-    began = time.perf_counter()
     counts = _empty_counts()
     histograms: dict[int, list[int]] = {}
     # Counterexamples beyond twice the cap are cut back to the cap as they
@@ -463,7 +457,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
                 dropped += len(found) - cap
                 found = _lowest(found, cap)
 
-    return _capped(config, counts, histograms, found, dropped, time.perf_counter() - began)
+    return _capped(config, counts, histograms, found, dropped)
 
 
 def merge_reports(reports) -> SearchReport:
@@ -480,7 +474,6 @@ def merge_reports(reports) -> SearchReport:
     histograms: dict[int, list[int]] = {}
     pooled: list[CounterexampleRecord] = []
     overflow_seen = 0
-    wall = 0.0
     for r in reports:
         for key, value in r.counts.items():
             counts[key] = counts.get(key, 0) + value
@@ -490,14 +483,12 @@ def merge_reports(reports) -> SearchReport:
                 acc[i] += b
         pooled.extend(r.counterexamples)
         overflow_seen += r.overflow
-        wall += r.wall_time_s
-    return _capped(config, counts, histograms, pooled, overflow_seen, wall)
+    return _capped(config, counts, histograms, pooled, overflow_seen)
 
 
 def report_to_jsonable(report: SearchReport) -> dict:
-    """Canonical form of a report; wall time deliberately left out."""
+    """Canonical form of a report."""
     payload = to_jsonable(report)
-    del payload["wall_time_s"]
     payload.update(
         rng_algorithm=RNG_ALGORITHM,
         config_hash=config_hash(report.config),

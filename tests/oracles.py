@@ -6,9 +6,9 @@ digits with mpmath, elementary symmetric values come from
 the textbook recurrence, hull containment is a from-scratch
 monotone-chain construction, and real derivative zeros are bisected at
 60 digits with mpmath, or in exact rationals where the zeros' scales
-span the whole double range.  bisection_interval_zero is the double-precision
-bisection that the real critical-point path once ran, kept as the
-reference for the float that path must still return, and scan_groups is
+span the whole double range.  sign_change_interval_zero reads the float
+the real critical-point path must return off the signs of the
+double-precision sum, by bisection over the floats' places, and scan_groups is
 the all-pairs grouping that the complex path once ran, kept as the
 reference for the groups it must still form.  distance_summary reads
 the zero-to-critical-point summaries off the full table of distances.
@@ -19,6 +19,7 @@ per degree or zero set, as the README states a sample's stream.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -51,33 +52,49 @@ def coefficient_value(coeffs, z):
         return complex(mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], mpmath.mpc(z)))
 
 
-def bisection_on_sign(sign, lo, hi):
-    """The float where bisection of (lo, hi) on sign(x) stops.
+def _place(x):
+    """The place of x among the floats: consecutive floats are consecutive integers, +-0 is 0."""
+    k = struct.unpack("<q", struct.pack("<d", x))[0]
+    return k if k >= 0 else -(k & (2**63 - 1))
 
-    Bisects until the bracket cannot shrink, or returns the first midpoint
-    where sign(x) is exactly 0.
+
+def _float_at(k):
+    """The float at place k, +0.0 at 0."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else 2**63 - k))[0]
+
+
+def _last_place(holds, lo, hi):
+    """The last place of (lo, hi) where holds(x), or lo's place where none is.
+
+    holds must be true up to some place and false after it.
     """
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * a + 0.5 * b  # a + b may overflow near the top of double range
-        if mid <= a or mid >= b:
-            break
-        s = sign(mid)
-        if s > 0.0:
-            a = mid
-        elif s < 0.0:
-            b = mid
+    good, bad = _place(lo), _place(hi)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if holds(_float_at(mid)):
+            good = mid
         else:
-            return mid
-    return 0.5 * a + 0.5 * b
+            bad = mid
+    return good
 
 
-def bisection_interval_zero(clusters, lo, hi):
-    """The zero of sum m / (x - v) over (v, m) in clusters, in (lo, hi), by plain bisection.
+def sign_change_interval_zero(clusters, lo, hi):
+    """The zero of sum m / (x - v) over (v, m) in clusters, in (lo, hi), from the signs of its fsum.
 
-    Bisects on the sign of the fsum of the terms.
+    0.0 where (lo, hi) holds 0 and the sum is 0 there.  Otherwise
+    0.5*p + 0.5*q, with p the last float of (lo, hi) where the sum is
+    >= 0 and q the first where it is <= 0, each found by bisection over
+    the floats' places.
     """
-    return bisection_on_sign(lambda x: math.fsum(m / (x - v) for v, m in clusters), lo, hi)
+
+    def f(x):
+        return math.fsum(m / (x - v) for v, m in clusters)
+
+    if lo < 0.0 < hi and f(0.0) == 0.0:
+        return 0.0
+    p = _float_at(_last_place(lambda x: f(x) >= 0.0, lo, hi))
+    q = _float_at(_last_place(lambda x: f(x) > 0.0, lo, hi) + 1)
+    return 0.5 * p + 0.5 * q
 
 
 def _numpy_zeros(rng, distribution, n):

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -243,9 +244,9 @@ PINNED_JSON = {
     "expand --roots 1,2,3 --center max-plus":
         "f81af1d8695eaf608d09e0864c8a2d89241cf52b2db99a9c914acd3bf9746ae4",
     "expand --roots 1,2,3 --center value:0.5":
-        "7fd65a33ce2b00394b6acf249ce5d6487730b2b6f8323cd1278cc94ee0bca76b",
+        "f1bdfb7fea9f8b424ee20ac679bfebf19d947bb43355055bfe0d3611e680e0d1",
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
-        "d54dddca0c7fb10577ba1512460b73c3be8d28504d916b645b5f196727397f93",
+        "8eb4c428eac9191773355e8f636549706af6597ee862194fd90a7d5efae09c4b",
     "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
         "701ef27a97bab462423f2e6770e6b7901c2afaeed7093fe8b1979aa740a3f7ed",
     "analyze --roots=1e-300,2e-300,3e-300":
@@ -346,6 +347,18 @@ def test_search_repeat_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_search_states_its_rng_once_and_times_itself_on_stderr(capsys):
+    _, out, err = run_cli(
+        capsys, "search", "--claim", "squeeze", "--degree", "3", "--samples", "2", "--seed", "1", "--json"
+    )
+    report = json.loads(out)
+    assert report["schema_version"] == "4"
+    assert report["diagnostics"] == {"tolerance": {"abs": 1e-10, "rel": 1e-09}}
+    assert report["results"]["search"]["rng_algorithm"].startswith("numpy-philox")
+    assert "wall" not in out
+    assert re.fullmatch(r"wall time: \d+\.\d{3}s\n", err)
 
 
 def test_search_zero_samples_usage_error(capsys):

@@ -71,6 +71,14 @@ def test_taylor_shift_examples():
         assert got.real == pytest.approx(want, abs=1e-15)
 
 
+def test_taylor_shift_gives_no_negative_zero():
+    # real zeros about a real centre: the complex products left -0.0 imaginary parts
+    for roots, center in (([1, 2, 3], 0.5), ([1, 2, 3], 1), ([-0.5, 0.25, 4.0, 7.0], 0.125)):
+        for t in taylor_shift(roots, center):
+            assert math.copysign(1.0, t.imag) == 1.0, (roots, center, t)
+            assert t.real or math.copysign(1.0, t.real) == 1.0, (roots, center, t)
+
+
 def test_taylor_shift_rejects_out_of_range_coefficients():
     with pytest.raises(OverflowError, match="double range"):
         taylor_shift([1, 2, 3], 1e200)
