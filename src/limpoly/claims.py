@@ -222,10 +222,10 @@ def check_squeeze(roots: RootsLike, eps: float, delta: float) -> ClaimVerdict:
     poly = from_roots(rs)
 
     points = [b.real for b in critical_points(poly).points]
-    per_order_max = [max(abs(center - b) for b in points)]
+    per_order_max = [max(map(abs, map(center.__sub__, points)))]
     for _ in range(2, rs.n):
         points = _real_critical_points(points)
-        per_order_max.append(max(abs(center - b) for b in points))
+        per_order_max.append(max(map(abs, map(center.__sub__, points))))
     max_distance = max(per_order_max)
 
     concl = conclusion_check(max_distance, delta)

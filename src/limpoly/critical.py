@@ -56,7 +56,8 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from operator import truediv
+from functools import reduce
+from operator import add, truediv
 
 import numpy as np
 
@@ -146,14 +147,13 @@ def _compressed_zeros(clusters, eig) -> list:
     v = np.array(vals)
     scale = 2.0 ** -math.frexp(max(map(abs, v.view(float).tolist())))[1]  # components: a modulus can overflow
     v *= scale
-    n = sum(mults)
-    w = np.array([math.sqrt(m / n) for m in mults])
+    w = np.sqrt(np.array(mults) / sum(mults))
     p = w[1:] / (1.0 + w[0])
     a = v[1:] * p
     c = v[0] + np.add.reduce(a * p)
     w = w[1:]
-    block = np.diag(v[1:])
-    block += np.multiply.outer(w, c * w - a)
+    block = np.multiply.outer(w, c * w - a)
+    block.flat[::len(w) + 1] += v[1:]
     block -= np.multiply.outer(a, w)
     try:
         zeros = eig(block)
@@ -166,12 +166,13 @@ def _compressed_zeros(clusters, eig) -> list:
 # all-real path
 
 
-def _cluster_reals(values) -> tuple[list[tuple[float, int]], int]:
+def _cluster_reals(values) -> tuple[list[tuple[float, float]], int]:
     """Sorted (representative, multiplicity) pairs of the values times 2**-e, and e.
 
     e comes from the exponents of the largest and the smallest nonzero
     magnitude.  A lone value is its own representative, with -0.0 read as
-    +0.0, as fsum reads it; a repeated one is the mean of its members.
+    +0.0, as fsum reads it; a repeated one is the mean of its members.  The
+    multiplicities are floats, so a term m / (x - v) converts no int.
     """
     ordered = sorted(values)
     i = bisect.bisect_left(ordered, 0.0)
@@ -186,12 +187,8 @@ def _cluster_reals(values) -> tuple[list[tuple[float, int]], int]:
     # a run of coincident values ends where _coincident(u, v) fails: for u <= v, max(|u|, |v|) is max(-u, v)
     ends = [i for i, u, v in zip(range(1, len(ordered)), ordered, ordered[1:])
             if v - u > _CLUSTER_GAP * (v if v > -u else -u)]
-    clusters = []
-    i = 0
-    for j in ends + [len(ordered)]:
-        clusters.append((ordered[i] + 0.0, 1) if j - i == 1 else (math.fsum(ordered[i:j]) / (j - i), j - i))
-        i = j
-    return clusters, e
+    return [(ordered[i] + 0.0, 1.0) if j - i == 1 else (math.fsum(ordered[i:j]) / (j - i), float(j - i))
+            for i, j in zip([0] + ends, ends + [len(ordered)])], e
 
 
 def _log_derivative(clusters, x: float) -> tuple[float, list[float]]:
@@ -281,9 +278,10 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
     run, and its ends q and p are found from that float: steps toward a
     and toward b double while f stays 0, then the last one is bisected.
     """
+    nextafter, hypot, inf = math.nextafter, math.hypot, math.inf
     a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
     if lo < 0.0 < hi:  # inner: the band's largest float
-        inner = math.nextafter(min(_zero_band(lo), _zero_band(hi)), 0.0)
+        inner = nextafter(min(_zero_band(lo), _zero_band(hi)), 0.0)
         s = _log_derivative(clusters, 0.0)[0]
         if not s:
             return 0.0
@@ -294,10 +292,8 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
     x = start if lo < start < hi else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     probe = 1.0  # ulps of x
     for k in range(_NEWTON_BUDGET + 64):
-        if k >= _NEWTON_BUDGET:  # the steps ran out: bisect over the floats' places
-            x = _from_ordinal((_ordinal(a) + _ordinal(b)) // 2)
-        elif not a < x < b:
-            x = 0.5 * a + 0.5 * b
+        if k >= _NEWTON_BUDGET or not a < x < b:  # once the steps ran out, bisect over the floats' places
+            x = 0.5 * a + 0.5 * b if k < _NEWTON_BUDGET else _from_ordinal((_ordinal(a) + _ordinal(b)) // 2)
         s, terms = _log_derivative(clusters, x)
         if s > 0.0:
             a = x
@@ -305,12 +301,12 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
             b = x
         else:
             return 0.5 * _zero_run_end(clusters, x, a) + 0.5 * _zero_run_end(clusters, x, b)
-        if math.nextafter(a, b) == b:
+        if nextafter(a, b) == b:
             break
-        h = d * math.hypot(*(map(truediv, terms, roots) if roots else terms))  # sqrt(-f'(x)) d
+        h = d * hypot(*(map(truediv, terms, roots) if roots else terms))  # sqrt(-f'(x)) d
         sd = s * d
         den = sd * (d / (x - lo) - d / (hi - x)) - h * h  # F'(x) d^2 / ((x - lo)(hi - x))
-        x_new = x - d * sd / den if -math.inf < den < 0.0 else math.nan  # nan: bisect
+        x_new = x - d * sd / den if -inf < den < 0.0 else math.nan  # nan: bisect
         if x_new == x:  # probe toward the zero
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0
@@ -330,7 +326,7 @@ def _real_critical_points(values) -> list[float]:
     points: list[float] = []
     for (lo, mult), (hi, _), start in zip(clusters, clusters[1:], starts):
         if mult > 1:
-            points += [math.ldexp(lo, e)] * (mult - 1)
+            points += [math.ldexp(lo, e)] * int(mult - 1)
         rescaled, k = clusters, 0
         if hi - lo < _MIN_NORMAL:
             # k > 0, as coincident zeros are one cluster: max(-lo, hi) < 2**-1022 / _CLUSTER_GAP
@@ -341,7 +337,7 @@ def _real_critical_points(values) -> list[float]:
             lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
         points.append(math.ldexp(_interval_zero(rescaled, lo, hi, start, roots), e - k))
     rep, mult = clusters[-1]
-    points += [math.ldexp(rep, e)] * (mult - 1)
+    points += [math.ldexp(rep, e)] * int(mult - 1)
     return points
 
 
@@ -393,6 +389,15 @@ def _secular(clusters, z: complex) -> tuple[complex, float]:
         f += m * w
         size += m * abs(w)
     return f, size
+
+
+def _left_sum(items) -> complex:
+    """The items added up left to right from 0.
+
+    Not sum(), which is compensated for floats from Python 3.12 and for
+    complex numbers from 3.14: this gives the same bits on every version.
+    """
+    return reduce(add, items, 0)
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -457,13 +462,13 @@ def _complex_critical_points(values) -> list[complex]:
     scaled = [_ldexp(v, -e) for v in values]
     reach = [_CLUSTER_GAP * abs(u) for u in scaled]
     groups = _groups(scaled, reach, lambda i, j: _coincident(scaled[i], scaled[j]))
-    clusters = [(sum(scaled[i] for i in g) / len(g), len(g)) for g in groups]
+    clusters = [(_left_sum(scaled[i] for i in g) / len(g), len(g)) for g in groups]
     # a repeated zero's point: its unscaled mean, or the scaled one mapped back where the sum overflows
-    means = [sum(values[i] for i in g) / len(g) for g in groups]
+    means = [_left_sum(values[i] for i in g) / len(g) for g in groups]
     points = [u if cmath.isfinite(u) else _ldexp(v, e) for u, (v, m) in zip(means, clusters) for _ in range(m - 1)]
     d = len(clusters) - 1  # degree of Q
     n = len(values)
-    center = sum(m * v for v, m in clusters) / n
+    center = _left_sum(m * v for v, m in clusters) / n
     spread = max(abs(v - center) for v, _ in clusters)
     floor = 4 * n * sys.float_info.epsilon
     v = np.array([c for c, _ in clusters])
@@ -505,7 +510,7 @@ def _complex_critical_points(values) -> list[complex]:
     z, radii = z.tolist(), radii.tolist()
     for group in _groups(z, radii, lambda i, j: abs(z[i] - z[j]) <= radii[i] + radii[j]):
         if len(group) > 1:
-            mean = sum(z[i] for i in group) / len(group)
+            mean = _left_sum(z[i] for i in group) / len(group)
             b = _multiple_zero(clusters, mean, len(group), spread, floor)
             if b is not None:
                 for i in group:

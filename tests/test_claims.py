@@ -8,6 +8,8 @@ from limpoly import (
     ClaimId,
     Classification,
     RootDomainError,
+    RootMultiset,
+    SearchConfig,
     check_basic_inequality,
     check_deriv_sum_bound,
     check_index_bound,
@@ -23,10 +25,12 @@ from limpoly import (
     local_expansion_min,
     permutation_sum_derivative,
     run_claim,
+    run_search,
     stirling_bound_compare,
     stirling_sum,
 )
 from limpoly.claims import CLAIMS_TAKING_EPS
+from limpoly.search import _parse_policy, _resolve_eps, generate_roots
 from limpoly.verdicts import conclusion_check, hypothesis_check
 
 
@@ -350,6 +354,31 @@ def test_deriv_sum_double_root():
 def test_deriv_sum_huge_eps_confirms():
     verdict = check_deriv_sum_bound([1, 2, 3], eps=1e9)
     assert verdict.classification is Classification.CONFIRMED
+
+
+def test_deriv_sum_bound_is_the_same_test_as_basic_inequality():
+    # the s-th derivative of P' is the (s+1)-th of P, so the two claims check one sum
+    # against one bound: the same verdict on every sample, and the same sweep report
+    # counts (1,467 CONFIRMED and 1,533 COUNTEREXAMPLE here)
+    configs = [
+        SearchConfig(claim_id=claim, degree_min=2, degree_max=8, samples=3000, seed=2026,
+                     distribution="log-uniform:0.001,1000")
+        for claim in ("basic_inequality", "deriv_sum_bound")
+    ]
+    policy = _parse_policy(configs[0].epsilon_policy)
+    samples = generate_roots(configs[0], 0, 3000)[0]
+    assert samples == generate_roots(configs[1], 0, 3000)[0]
+    for roots in map(RootMultiset, samples):
+        eps = _resolve_eps(policy, roots, ClaimId.BASIC_INEQUALITY)
+        basic, deriv = check_basic_inequality(roots, eps), check_deriv_sum_bound(roots, eps)
+        assert deriv.classification is basic.classification
+        assert (deriv.hypotheses, deriv.conclusion) == (basic.hypotheses, basic.conclusion)
+        assert deriv.details["attained"] == basic.details["derivative_sum"]
+        assert deriv.details["bound"] == basic.details["exponential_bound"]
+    basic, deriv = (run_search(config) for config in configs)
+    assert deriv.counts == basic.counts
+    assert deriv.margin_histograms == basic.margin_histograms
+    assert 0 < basic.counts["COUNTEREXAMPLE"] < 3000
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from limpoly import SearchConfig, run_search
+from limpoly.search import MARGIN_BIN_EDGES
 
 SIGMAS = 4.0  # allowed distance of a count from its expectation, in standard deviations
 
@@ -131,3 +132,17 @@ def test_basic_inequality_degree_two_log_uniform():
     counts = _sweep_counts("basic_inequality", lo, hi, samples, seed=2027, kind="log-uniform")
     p = _log_uniform_pair_probability(lambda big: 2.0 - slope * big, lo, hi)  # about 0.400
     _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
+
+
+def test_index_bound_degree_two_has_no_counterexample():
+    # about m, P = y (y - (M - m)) with y = x - m: the one coefficient checked is fl(M - m),
+    # which is at most M for 0 < m <= M, so the margin M - fl(M - m) is never negative and
+    # the failure region is empty, on every draw
+    for kind, lo, hi in [("uniform", 0.05, 4.05), ("log-uniform", 0.001, 1000.0), ("uniform", 1e-12, 1.0)]:
+        config = SearchConfig(claim_id="index_bound", degree_min=2, degree_max=2, samples=4000, seed=7,
+                              distribution=f"{kind}:{lo},{hi}")
+        report = run_search(config)
+        assert report.counts["COUNTEREXAMPLE"] == 0
+        assert report.counts["CONFIRMED"] == 4000
+        # buckets 0-3 hold the margins below 0
+        assert report.margin_histograms[2][:MARGIN_BIN_EDGES.index(0.0) + 1] == [0, 0, 0, 0]
