@@ -22,6 +22,9 @@ code paths only polish its eigenvalues:
   start: the midpoint of the last float where the sum is >= 0 and the
   first where it is <= 0.  Newton steps from the start, each step's
   slope taken from the terms of the sum just computed, find that pair.
+  A stage is two flat lists, its distinct zeros and their multiplicities,
+  None where every zero is simple (every tower stage after the first):
+  each term is then 1.0 / (x - v), and the eigen block's weight is constant.
 * otherwise: total-step Aberth sweeps on arrays, no BLAS call, on the
   secular form of the zeros, that is on Q(z) = f(z) prod (z - v_i)
   evaluated through f, from the eigenvalues rounded to a grid, so
@@ -40,9 +43,10 @@ those exponents span well under the normal range, no zero, gap or term
 m / (x - v) is subnormal or overflows.  A gap that is still narrower
 than the smallest normal double is solved on the zeros times its own
 power of two, which brings its ends near 1: the zeros that then leave
-double range are infinite, and add a signed 0 to the sum.  The complex
-path brings the largest component near 1, so no difference of two
-zeros overflows.
+double range are infinite, and add a signed 0 to the sum; where the sum
+of the others overflows, its sign is read off the terms halved.  The
+complex path brings the largest component near 1, so no difference of
+two zeros overflows.
 
 Higher derivatives repeat the step on the previous stage's points.
 Solver state is per call; calls are independent and concurrency-safe.
@@ -127,8 +131,8 @@ def _coincident(u, w) -> bool:
     return abs(u - w) <= _CLUSTER_GAP * max(abs(u), abs(w))
 
 
-def _compressed_zeros(clusters, eig) -> list:
-    """The zeros of f(z) = sum m / (z - v) over the clusters (v, m), by one eigen-solve.
+def _compressed_zeros(vals, mults, eig) -> list:
+    """The zeros of f(z) = sum m / (z - v) over the distinct zeros v, of multiplicities m, by one eigen-solve.
 
     They are the eigenvalues of diag(v) compressed onto the complement of
     the unit vector w = (sqrt(m / n)): the Householder reflection
@@ -136,25 +140,28 @@ def _compressed_zeros(clusters, eig) -> list:
     right (k - 1)-square block of H diag(v) H is that compression.  Row
     i >= 1 of H is e_i - w_i p, with p = u / (1 + w_0), so over i, j >= 1
     the block is diag(v_i) + w_i (c w_j - a_j) - a_i w_j, with a_i = v_i p_i
-    and c = sum v p^2: no matrix product is needed.  eig is
-    np.linalg.eigvalsh for real v, whose block is symmetric and whose
-    ascending eigenvalues then fall one in each gap between neighbouring
-    v, or np.linalg.eigvals for complex v.  The v are first divided by
-    the power of two that brings their largest component below 1, so no
-    entry overflows.  A LAPACK failure raises ConvergenceError.
+    and c = sum v p^2: no matrix product is needed.  mults None means every
+    m is 1: w is then a constant, and the block one broadcast difference.
+    eig is np.linalg.eigvalsh for real v, whose block is symmetric and
+    whose ascending eigenvalues then fall one in each gap between
+    neighbouring v, or np.linalg.eigvals for complex v.  The v are first
+    divided by the power of two that brings their largest component below
+    1, so no entry overflows.  A LAPACK failure raises ConvergenceError.
     """
-    vals, mults = zip(*clusters)
     v = np.array(vals)
     scale = 2.0 ** -math.frexp(max(map(abs, v.view(float).tolist())))[1]  # components: a modulus can overflow
     v *= scale
-    w = np.sqrt(np.array(mults) / sum(mults))
-    p = w[1:] / (1.0 + w[0])
+    w = math.sqrt(1.0 / len(vals)) if mults is None else np.sqrt(np.array(mults) / sum(mults))
+    w0, w = (w, w) if mults is None else (w[0], w[1:])
+    p = w / (1.0 + w0)
     a = v[1:] * p
     c = v[0] + np.add.reduce(a * p)
-    w = w[1:]
-    block = np.multiply.outer(w, c * w - a)
-    block.flat[::len(w) + 1] += v[1:]
-    block -= np.multiply.outer(a, w)
+    wr, aw = w * (c * w - a), a * w  # the diagonals of w (c w - a)^T and a w^T
+    if mults is None:  # w is a constant: the first is one row, repeated, and the second one column
+        block = wr - aw[:, None]
+    else:
+        block = np.multiply.outer(w, c * w - a) - np.multiply.outer(a, w)
+    block.flat[::len(vals)] = wr + v[1:] - aw
     try:
         zeros = eig(block)
     except np.linalg.LinAlgError as exc:
@@ -166,13 +173,14 @@ def _compressed_zeros(clusters, eig) -> list:
 # all-real path
 
 
-def _cluster_reals(values) -> tuple[list[tuple[float, float]], int]:
-    """Sorted (representative, multiplicity) pairs of the values times 2**-e, and e.
+def _cluster_reals(values) -> tuple[list[float], list[float] | None, int]:
+    """Sorted representatives and multiplicities of the values times 2**-e, and e.
 
     e comes from the exponents of the largest and the smallest nonzero
     magnitude.  A lone value is its own representative, with -0.0 read as
     +0.0, as fsum reads it; a repeated one is the mean of its members.  The
-    multiplicities are floats, so a term m / (x - v) converts no int.
+    multiplicities are floats, so a term m / (x - v) converts no int, or
+    None where every value is lone.
     """
     ordered = sorted(values)
     i = bisect.bisect_left(ordered, 0.0)
@@ -187,19 +195,25 @@ def _cluster_reals(values) -> tuple[list[tuple[float, float]], int]:
     # a run of coincident values ends where _coincident(u, v) fails: for u <= v, max(|u|, |v|) is max(-u, v)
     ends = [i for i, u, v in zip(range(1, len(ordered)), ordered, ordered[1:])
             if v - u > _CLUSTER_GAP * (v if v > -u else -u)]
-    return [(ordered[i] + 0.0, 1.0) if j - i == 1 else (math.fsum(ordered[i:j]) / (j - i), float(j - i))
-            for i, j in zip([0] + ends, ends + [len(ordered)])], e
+    if len(ends) == len(ordered) - 1:
+        return [v + 0.0 for v in ordered], None, e
+    runs = list(zip([0] + ends, ends + [len(ordered)]))
+    reps = [ordered[i] + 0.0 if j - i == 1 else math.fsum(ordered[i:j]) / (j - i) for i, j in runs]
+    return reps, [float(j - i) for i, j in runs], e
 
 
-def _log_derivative(clusters, x: float) -> tuple[float, list[float]]:
-    """f(x) = sum m / (x - v), correctly rounded, and its terms."""
-    terms = [m / (x - v) for v, m in clusters]
-    return math.fsum(terms), terms
+def _log_derivative(reps, mults, x: float) -> tuple[float, list[float]]:
+    """f(x) = sum m / (x - v), correctly rounded, and its terms; with mults None, every m is 1.
 
-
-def _sqrt_multiplicities(clusters) -> list[float]:
-    """sqrt(m) of each cluster (v, m), or [] where every m is 1: the weights of the Newton slope."""
-    return [] if all(m == 1 for _, m in clusters) else [math.sqrt(m) for _, m in clusters]
+    Where fsum overflows, it adds up the terms halved instead: that is
+    exact for each term that stays normal, so the sign is kept unless
+    those terms cancel exactly and subnormal ones decide it.
+    """
+    terms = [1.0 / (x - v) for v in reps] if mults is None else [m / (x - v) for v, m in zip(reps, mults)]
+    try:
+        return math.fsum(terms), terms
+    except OverflowError:
+        return math.fsum([0.5 * t for t in terms]), terms
 
 
 def _zero_band(v: float) -> float:
@@ -218,7 +232,7 @@ def _from_ordinal(k: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
 
 
-def _zero_run_end(clusters, zero: float, bound: float) -> float:
+def _zero_run_end(reps, mults, zero: float, bound: float) -> float:
     """The float furthest from zero toward bound, bound excluded, where the sum is exactly 0.
 
     The sum is 0 at zero, and bound is a pole or a float where it is not;
@@ -230,14 +244,14 @@ def _zero_run_end(clusters, zero: float, bound: float) -> float:
     step = 1 if bad > good else -1
     while abs(bad - good) > 1:
         probe = good + step if abs(step) < abs(bad - good) else (good + bad) // 2
-        if _log_derivative(clusters, _from_ordinal(probe))[0] == 0.0:
+        if _log_derivative(reps, mults, _from_ordinal(probe))[0] == 0.0:
             good, step = probe, 2 * step
         else:
             bad = probe
     return _from_ordinal(good)
 
 
-def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> float:
+def _interval_zero(reps, mults, lo: float, hi: float, start: float) -> float:
     """The single derivative zero in the open interval (lo, hi), read off the signs of the sum.
 
     f is strictly decreasing on (lo, hi), positive near lo and negative
@@ -261,18 +275,17 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
     in the band, where Newton's zero of the exact f can lie and each step
     would move x by the same tiny amount.
 
-    Then Newton steps on F(x) = f(x) (x - lo)(hi - x), which has no pole
-    at either end, shrink a bracket (a, b) with f(a) > 0 > f(b) until a
-    and b are adjacent floats.  Each step's slope comes from the terms
-    t = m / (x - v) of the sum just taken: -f'(x) = sum t^2 / m, whose
-    square root math.hypot takes, without overflow, over t / sqrt(m).
-    roots are those sqrt(m), as _sqrt_multiplicities gives them, and are
-    read from the clusters when not given.  From an eigenvalue start the
-    steps usually end after about three sums.  A step that leaves the
-    bracket, or has no usable slope, becomes its midpoint; a step too
-    small to move x probes the next float toward the zero, and each later
-    such probe goes twice as far.  Should the steps run out, the bracket
-    is bisected over the floats' places, in at most 64 more sums.
+    Then up to _NEWTON_BUDGET Newton steps on F(x) = f(x) (x - lo)(hi - x),
+    which has no pole at either end, shrink a bracket (a, b) with
+    f(a) > 0 > f(b) until a and b are adjacent floats.  Each step's slope
+    comes from the terms t = m / (x - v) of the sum just taken:
+    -f'(x) = sum t^2 / m, whose square root math.hypot takes, without
+    overflow, over t / sqrt(m).  From an eigenvalue start the steps
+    usually end after about three sums.  A step that leaves the bracket,
+    or has no usable slope, becomes its midpoint; a step too small to move
+    x probes the next float toward the zero, and each later such probe
+    goes twice as far.  Should the steps run out, the bracket is bisected
+    over the floats' places, in at most 64 more sums.
 
     Where f is exactly 0 at a float, the floats where it is 0 form one
     run, and its ends q and p are found from that float: steps toward a
@@ -282,28 +295,25 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
     a, b = lo, hi  # f > 0 at the floats of (lo, a], f < 0 at those of [b, hi)
     if lo < 0.0 < hi:  # inner: the band's largest float
         inner = nextafter(min(_zero_band(lo), _zero_band(hi)), 0.0)
-        s = _log_derivative(clusters, 0.0)[0]
+        s = _log_derivative(reps, mults, 0.0)[0]
         if not s:
             return 0.0
         a, b = (inner, b) if s > 0.0 else (a, -inner)
     d = 0.5 * hi - 0.5 * lo  # the step is taken relative to the half-width
-    if roots is None:
-        roots = _sqrt_multiplicities(clusters)
+    roots = None if mults is None else [math.sqrt(m) for m in mults]
     x = start if lo < start < hi else 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     probe = 1.0  # ulps of x
-    for k in range(_NEWTON_BUDGET + 64):
-        if k >= _NEWTON_BUDGET or not a < x < b:  # once the steps ran out, bisect over the floats' places
-            x = 0.5 * a + 0.5 * b if k < _NEWTON_BUDGET else _from_ordinal((_ordinal(a) + _ordinal(b)) // 2)
-        s, terms = _log_derivative(clusters, x)
+    for _ in range(_NEWTON_BUDGET):
+        if not a < x < b:
+            x = 0.5 * a + 0.5 * b
+        s, terms = _log_derivative(reps, mults, x)
         if s > 0.0:
             a = x
         elif s < 0.0:
             b = x
-        else:
-            return 0.5 * _zero_run_end(clusters, x, a) + 0.5 * _zero_run_end(clusters, x, b)
-        if nextafter(a, b) == b:
+        if not s or nextafter(a, b) == b:
             break
-        h = d * hypot(*(map(truediv, terms, roots) if roots else terms))  # sqrt(-f'(x)) d
+        h = d * hypot(*(terms if roots is None else map(truediv, terms, roots)))  # sqrt(-f'(x)) d
         sd = s * d
         den = sd * (d / (x - lo) - d / (hi - x)) - h * h  # F'(x) d^2 / ((x - lo)(hi - x))
         x_new = x - d * sd / den if -inf < den < 0.0 else math.nan  # nan: bisect
@@ -311,6 +321,15 @@ def _interval_zero(clusters, lo: float, hi: float, start: float, roots=None) -> 
             x_new = x + math.copysign(probe * math.ulp(x), s)
             probe *= 2.0
         x = x_new
+    while s and nextafter(a, b) != b:  # the steps ran out: bisect over the floats' places
+        x = _from_ordinal((_ordinal(a) + _ordinal(b)) // 2)
+        s = _log_derivative(reps, mults, x)[0]
+        if s > 0.0:
+            a = x
+        elif s < 0.0:
+            b = x
+    if not s:
+        return 0.5 * _zero_run_end(reps, mults, x, a) + 0.5 * _zero_run_end(reps, mults, x, b)
     return 0.5 * a + 0.5 * b
 
 
@@ -320,24 +339,23 @@ def _real_critical_points(values) -> list[float]:
     The stage's power of two can leave a gap subnormal beside a zero near
     the top of double range; that gap is solved at its own power of two.
     """
-    clusters, e = _cluster_reals(values)
-    starts = _compressed_zeros(clusters, np.linalg.eigvalsh)
-    roots = _sqrt_multiplicities(clusters)
+    reps, mults, e = _cluster_reals(values)
+    starts = _compressed_zeros(reps, mults, np.linalg.eigvalsh)
     points: list[float] = []
-    for (lo, mult), (hi, _), start in zip(clusters, clusters[1:], starts):
-        if mult > 1:
-            points += [math.ldexp(lo, e)] * int(mult - 1)
-        rescaled, k = clusters, 0
+    for i, (lo, hi, start) in enumerate(zip(reps, reps[1:], starts)):
+        if mults is not None and mults[i] > 1:
+            points += [math.ldexp(lo, e)] * int(mults[i] - 1)
+        rescaled, k = reps, 0
         if hi - lo < _MIN_NORMAL:
             # k > 0, as coincident zeros are one cluster: max(-lo, hi) < 2**-1022 / _CLUSTER_GAP
             k = -math.frexp(max(-lo, hi))[1]
             # two factors, as 2**k may overflow; a product beyond double range is infinite
-            rescaled = [(v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2), m) for v, m in clusters]
+            rescaled = [v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) for v in reps]
             start = math.ldexp(start, k) if lo < start < hi else math.nan
             lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
-        points.append(math.ldexp(_interval_zero(rescaled, lo, hi, start, roots), e - k))
-    rep, mult = clusters[-1]
-    points += [math.ldexp(rep, e)] * int(mult - 1)
+        points.append(math.ldexp(_interval_zero(rescaled, mults, lo, hi, start), e - k))
+    if mults is not None:
+        points += [math.ldexp(reps[-1], e)] * int(mults[-1] - 1)
     return points
 
 
@@ -473,7 +491,8 @@ def _complex_critical_points(values) -> list[complex]:
     floor = 4 * n * sys.float_info.epsilon
     v = np.array([c for c, _ in clusters])
     mult = np.array([m for _, m in clusters], dtype=float)
-    z = np.round(np.array(_compressed_zeros(clusters, np.linalg.eigvals), complex) * 2**32) / 2**32
+    starts = _compressed_zeros(v, None if len(clusters) == n else mult, np.linalg.eigvals)
+    z = np.round(np.array(starts, complex) * 2**32) / 2**32
     f, q, size = np.zeros(d, complex), np.zeros(d, complex), np.zeros(d)  # each iterate's last f, f h - g, size
     active = np.arange(d)
     with np.errstate(all="ignore"):  # a division by zero or an overflow shows as a non-finite step

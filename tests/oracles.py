@@ -233,19 +233,22 @@ def hull_distance(point, vertices):
 
 
 def rational_derivative_zeros(values):
-    """Zeros of the derivative of prod(x - v) for distinct positive values, as exact rationals.
+    """Zeros of the derivative of prod(x - v) for distinct values, as exact rationals.
 
     Each gap between neighbouring values holds one zero of sum 1 / (x - v);
     it is bisected on the sign of that sum in exact rational arithmetic,
     which neither overflows nor underflows, until the bracket is narrower
-    than 2**-64 of its lower end.
+    than 2**-64 of its end nearer 0, or the sum is exactly 0 at a midpoint.
     """
     values = sorted(Fraction(v) for v in values)
     zeros = []
     for lo, hi in zip(values, values[1:]):
-        while hi - lo > lo / 2**64:
+        while hi - lo > min(abs(lo), abs(hi)) / 2**64:
             mid = (lo + hi) / 2
-            if sum(1 / (mid - v) for v in values) > 0:
+            f = sum(1 / (mid - v) for v in values)
+            if f == 0:
+                lo = hi = mid
+            elif f > 0:
                 lo = mid
             else:
                 hi = mid

@@ -130,6 +130,9 @@ def test_analyze_subnormal_real_zeros(capsys):
         (("analyze", "--roots=1e-320,3e-320,1e300"), 0),
         (("analyze", "--roots=1e-320,0+3e-320i,1e300"), 0),  # the pullback solves the real stage
         (("verify", "--claim", "squeeze", "--roots=1e-320,3e-320,1e300", "--eps", "1e300"), 2),
+        # zeros of both signs: four terms near 5e307 overflowed fsum on a gap left normal
+        (("analyze", "--roots=-6.42364e-319,4.385373e-317,1.14356738e-315,-1.00920467e-316,"
+                     "-1.305883491405471e-302,-1.2669e-319,1e300"), 0),
     ],
 )
 def test_a_subnormal_gap_beside_a_huge_real_zero(capsys, argv, code):

@@ -1,6 +1,7 @@
 import builtins
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -515,10 +516,17 @@ def test_complex_points_ignore_the_last_bits_of_the_eigenvalues(monkeypatch, n):
 
 _SOLVE_IN_CHILD = """
 import json, sys
-from limpoly.critical import _complex_critical_points
-for roots in json.load(sys.stdin):
+from limpoly.critical import _complex_critical_points, _real_critical_points
+disks, towers = json.load(sys.stdin)
+for roots in disks:
     points = _complex_critical_points([complex(re, im) for re, im in roots])
     print(json.dumps([[b.real.hex(), b.imag.hex()] for b in points]))
+for values in towers:
+    stages = []
+    while len(values) >= 2:
+        values = _real_critical_points(values)
+        stages.append(" ".join(x.hex() for x in values))
+    print(json.dumps(stages))
 """
 
 
@@ -539,10 +547,13 @@ def _kernel_choices():
                     reason="the OpenBLAS core types and numpy dispatch targets named are x86-64's")
 def test_complex_points_are_the_same_on_every_cpu_kernel():
     # the sweep makes no BLAS call, whose kernels round differently, and its elementwise
-    # products and row sums round alike under every SIMD target
+    # products and row sums round alike under every SIMD target; the real path reads only
+    # the signs of its sums, so the eigen-solve's last bits cannot reach its points either
     instances = [_unit_disk(900 + 10 * n + k, n) for n in (5, 12, 20) for k in range(7)]
+    towers = list(itertools.islice(_pinned_towers(), 60))  # ten of each kind
     want = [[[b.real.hex(), b.imag.hex()] for b in _complex_critical_points(roots)] for roots in instances]
-    stdin = json.dumps([[[z.real, z.imag] for z in roots] for roots in instances])
+    want += [_tower_stages(values) for values in towers]
+    stdin = json.dumps([[[[z.real, z.imag] for z in roots] for roots in instances], towers])
     src = str(Path(critical.__file__).resolve().parents[1])
     for choice in _kernel_choices():
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **choice}
@@ -608,25 +619,38 @@ def test_groups_are_those_of_the_all_pairs_scan(points, reach, near):
 # the real path's interval search returns the float the signs of the sum define
 
 
-def _gaps(clusters):
-    """(lo, hi, start) for each gap between the clusters, with the start the solve takes there."""
-    starts = _compressed_zeros(clusters, np.linalg.eigvalsh)
-    return [(lo, hi, start) for (lo, _), (hi, _), start in zip(clusters, clusters[1:], starts)]
+def _stage(values):
+    """(reps, mults) of the values, as the solve clusters them, times its power of two."""
+    reps, mults, _ = _cluster_reals(values)
+    return reps, mults
+
+
+def _pairs(stage):
+    """The (v, m) pairs of a stage, with m = 1.0 where its mults are None, as the oracle takes them."""
+    reps, mults = stage
+    return list(zip(reps, mults or [1.0] * len(reps)))
+
+
+def _gaps(stage):
+    """(lo, hi, start) for each gap between the stage's zeros, with the start the solve takes there."""
+    reps, mults = stage
+    starts = _compressed_zeros(reps, mults, np.linalg.eigvalsh)
+    return list(zip(reps, reps[1:], starts))
 
 
 def _tower_intervals(values):
-    """(clusters, lo, hi, start) for each gap between distinct zeros, at every stage of the tower.
+    """(stage, lo, hi, start) for each gap between distinct zeros, at every stage of the tower.
 
     Each stage gives the gaps the solve searches, on the zeros times its power
     of two, and the same gaps at the zeros' own scale, tiny or huge, except
     where a gap is subnormal: there the bisection's terms overflow at both ends.
     """
     while len(values) >= 2:
-        scaled, e = _cluster_reals(values)
-        unscaled = [(math.ldexp(v, e), m) for v, m in scaled]
-        for clusters in (scaled, unscaled) if e else (scaled,):
-            gaps = _gaps(clusters)
-            yield from ((clusters, *gap) for gap in gaps if gap[1] - gap[0] >= sys.float_info.min)
+        reps, mults, e = _cluster_reals(values)
+        unscaled = [math.ldexp(v, e) for v in reps]
+        for stage in ((reps, mults), (unscaled, mults)) if e else ((reps, mults),):
+            gaps = _gaps(stage)
+            yield from ((stage, *gap) for gap in gaps if gap[1] - gap[0] >= sys.float_info.min)
         values = _real_critical_points(values)
 
 
@@ -674,21 +698,21 @@ _tower_values = st.one_of(
 
 
 def _assert_bisection_float(values):
-    for clusters, lo, hi, start in _tower_intervals(values):
-        got = _interval_zero(clusters, lo, hi, start)
-        assert got.hex() == sign_change_interval_zero(clusters, lo, hi).hex(), (clusters, lo, hi)
+    for stage, lo, hi, start in _tower_intervals(values):
+        got = _interval_zero(*stage, lo, hi, start)
+        assert got.hex() == sign_change_interval_zero(_pairs(stage), lo, hi).hex(), (stage, lo, hi)
 
 
 def _assert_sum_monotone_about_zeros(values):
     # the premise of the contract: the computed sum does not increase from one float to the next
-    for clusters, lo, hi, start in _tower_intervals(values):
-        below = above = _interval_zero(clusters, lo, hi, start)
+    for stage, lo, hi, start in _tower_intervals(values):
+        below = above = _interval_zero(*stage, lo, hi, start)
         xs = [below]
         for _ in range(64):
             below, above = math.nextafter(below, lo), math.nextafter(above, hi)
             xs = [below] * (below > lo) + xs + [above] * (above < hi)
-        sums = [_log_derivative(clusters, x)[0] for x in xs]
-        assert all(u >= w for u, w in zip(sums, sums[1:])), (clusters, lo, hi)
+        sums = [_log_derivative(*stage, x)[0] for x in xs]
+        assert all(u >= w for u, w in zip(sums, sums[1:])), (stage, lo, hi)
 
 
 @pytest.mark.parametrize("values", _bisection_cases())
@@ -699,12 +723,12 @@ def test_interval_zero_is_the_bisection_float(values):
 def test_bisection_cases_reach_exact_zero_sums():
     # the cases reach floats where the sum is exactly 0, not only at the first midpoint
     exact = [
-        (clusters, lo, hi, start)
+        (stage, lo, hi, start)
         for values in _bisection_cases()
-        for clusters, lo, hi, start in _tower_intervals(values)
-        if _log_derivative(clusters, _interval_zero(clusters, lo, hi, start))[0] == 0.0
+        for stage, lo, hi, start in _tower_intervals(values)
+        if _log_derivative(*stage, _interval_zero(*stage, lo, hi, start))[0] == 0.0
     ]
-    assert any(_interval_zero(c, lo, hi, x) != 0.5 * lo + 0.5 * hi for c, lo, hi, x in exact)
+    assert any(_interval_zero(*stage, lo, hi, x) != 0.5 * lo + 0.5 * hi for stage, lo, hi, x in exact)
 
 
 @seed(20261018)
@@ -733,10 +757,10 @@ def _start(kind, t, lo, hi):
     starts=st.lists(st.tuples(st.sampled_from(_START_KINDS), st.floats(0.0, 1.0)), min_size=1, max_size=8),
 )
 def test_interval_zero_is_the_bisection_float_from_any_start(values, starts):
-    for g, (clusters, lo, hi, _) in enumerate(_tower_intervals(values)):
+    for g, (stage, lo, hi, _) in enumerate(_tower_intervals(values)):
         kind, t = starts[g % len(starts)]
-        got = _interval_zero(clusters, lo, hi, _start(kind, t, lo, hi))
-        assert got.hex() == sign_change_interval_zero(clusters, lo, hi).hex(), (clusters, lo, hi, kind, t)
+        got = _interval_zero(*stage, lo, hi, _start(kind, t, lo, hi))
+        assert got.hex() == sign_change_interval_zero(_pairs(stage), lo, hi).hex(), (stage, lo, hi, kind, t)
 
 
 @pytest.mark.parametrize("values", _bisection_cases())
@@ -768,7 +792,7 @@ def test_interval_zero_evaluates_the_sum_a_few_times(monkeypatch):
         while len(values) >= 2:
             intervals += len(_cluster_reals(values)[0]) - 1
             values = _real_critical_points(values)
-    assert len(calls) / intervals <= 4  # 2.836 measured (2,694 sums over 950 gaps)
+    assert len(calls) / intervals <= 3.0  # 2.836 measured (2,694 sums over 950 gaps)
 
 
 def test_interval_zero_weighs_repeated_zeros_in_its_slope(monkeypatch):
@@ -789,27 +813,27 @@ def test_interval_zero_weighs_repeated_zeros_in_its_slope(monkeypatch):
         while len(values) >= 2:
             intervals += len(_cluster_reals(values)[0]) - 1
             values = _real_critical_points(values)
-    assert len(calls) / intervals <= 3.2  # 2.795 measured (8,556 sums over 3,061 gaps)
+    assert len(calls) / intervals <= 3.0  # 2.795 measured (8,556 sums over 3,061 gaps)
 
 
 def _exact_zero_gaps():
-    """(clusters, lo, hi, start) of the case gaps whose result is a float where the sum is 0."""
+    """(stage, lo, hi, start) of the case gaps whose result is a float where the sum is 0."""
     return [
-        (clusters, lo, hi, start)
+        (stage, lo, hi, start)
         for values in _bisection_cases()
-        for clusters, lo, hi, start in _tower_intervals(values)
-        if _log_derivative(clusters, _interval_zero(clusters, lo, hi, start))[0] == 0.0
+        for stage, lo, hi, start in _tower_intervals(values)
+        if _log_derivative(*stage, _interval_zero(*stage, lo, hi, start))[0] == 0.0
     ]
 
 
 def test_a_run_of_exact_zero_sums_ends_where_the_sum_turns():
-    for clusters, lo, hi, start in _exact_zero_gaps():
-        zero = _interval_zero(clusters, lo, hi, start)
+    for stage, lo, hi, start in _exact_zero_gaps():
+        zero = _interval_zero(*stage, lo, hi, start)
         for bound in (lo, hi):
-            end = _zero_run_end(clusters, zero, bound)
+            end = _zero_run_end(*stage, zero, bound)
             beyond = math.nextafter(end, bound)
-            assert _log_derivative(clusters, end)[0] == 0.0, (clusters, lo, hi)
-            assert beyond == bound or _log_derivative(clusters, beyond)[0] != 0.0, (clusters, lo, hi)
+            assert _log_derivative(*stage, end)[0] == 0.0, (stage, lo, hi)
+            assert beyond == bound or _log_derivative(*stage, beyond)[0] != 0.0, (stage, lo, hi)
 
 
 def test_an_exact_zero_sum_keeps_the_bracket(monkeypatch):
@@ -825,16 +849,16 @@ def test_an_exact_zero_sum_keeps_the_bracket(monkeypatch):
 
     monkeypatch.setattr(critical, "_log_derivative", counted)
     per_gap = []
-    for clusters, lo, hi, start in _exact_zero_gaps():
+    for stage, lo, hi, start in _exact_zero_gaps():
         calls.clear()
-        _interval_zero(clusters, lo, hi, start)
+        _interval_zero(*stage, lo, hi, start)
         per_gap.append(len(calls))
     assert max(per_gap) <= 8, per_gap  # 7 measured
     # an eigenvalue start where the sum is 0, on a one-sign gap: it took 30 sums
-    clusters, _ = _cluster_reals([2e-27, 2.9999999999999998e-55, -1e-69])
-    [_, (lo, hi, start)] = _gaps(clusters)
+    stage = _stage([2e-27, 2.9999999999999998e-55, -1e-69])
+    [_, (lo, hi, start)] = _gaps(stage)
     calls.clear()
-    assert _interval_zero(clusters, lo, hi, start).hex() == "0x1.a68cd9e985015p+69"
+    assert _interval_zero(*stage, lo, hi, start).hex() == "0x1.a68cd9e985015p+69"
     assert len(calls) == 3
 
 
@@ -853,11 +877,11 @@ def test_an_exact_zero_sum_keeps_the_bracket(monkeypatch):
 )
 def test_interval_zero_replays_the_bisection_across_zero_or_from_subnormals(values, points):
     # every gap of each set: the midpoint of the pair about the sum's sign change
-    clusters, _ = _cluster_reals(values)
-    gaps = _gaps(clusters)
-    got = [_interval_zero(clusters, *gap) for gap in gaps]
+    stage = _stage(values)
+    gaps = _gaps(stage)
+    got = [_interval_zero(*stage, *gap) for gap in gaps]
     assert [x.hex() for x in got] == points
-    assert got == [sign_change_interval_zero(clusters, lo, hi) for lo, hi, _ in gaps]
+    assert got == [sign_change_interval_zero(_pairs(stage), lo, hi) for lo, hi, _ in gaps]
 
 
 @settings(max_examples=300, deadline=None)
@@ -882,9 +906,9 @@ def test_zero_band_leaves_every_zero_unchanged(v, fraction):
     ],
 )
 def test_interval_zero_steps_over_the_flat_band_about_zero(monkeypatch, values, points, most):
-    clusters, _ = _cluster_reals(values)
-    gaps = _gaps(clusters)
-    expected = [sign_change_interval_zero(clusters, lo, hi) for lo, hi, _ in gaps]
+    stage = _stage(values)
+    gaps = _gaps(stage)
+    expected = [sign_change_interval_zero(_pairs(stage), lo, hi) for lo, hi, _ in gaps]
     log_derivative = critical._log_derivative
     calls = []
 
@@ -895,7 +919,7 @@ def test_interval_zero_steps_over_the_flat_band_about_zero(monkeypatch, values, 
     monkeypatch.setattr(critical, "_log_derivative", counted)
     got = _real_critical_points(values)
     assert len(calls) <= most
-    assert [_interval_zero(clusters, *gap) for gap in gaps] == expected
+    assert [_interval_zero(*stage, *gap) for gap in gaps] == expected
     if points is not None:
         assert [x.hex() for x in got] == points
 
@@ -905,8 +929,8 @@ def test_interval_zero_bisects_over_the_floats_places_when_the_steps_run_out(mon
     # Newton steps crawl a bit a sum until the budget ends, and the bisection over places finishes
     values = [-2048.0, 2048.000000000002, 9.117438272240433e33, 4.2578731299688967e136,
               -1.0760586679164915e228, 2.455169133819497e190]
-    clusters, _ = _cluster_reals(values)
-    [(lo, hi, start)] = [gap for gap in _gaps(clusters) if gap[0] < 0.0 < gap[1]]
+    stage = _stage(values)
+    [(lo, hi, start)] = [gap for gap in _gaps(stage) if gap[0] < 0.0 < gap[1]]
     log_derivative = critical._log_derivative
     calls = []
 
@@ -915,9 +939,9 @@ def test_interval_zero_bisects_over_the_floats_places_when_the_steps_run_out(mon
         return log_derivative(*args)
 
     monkeypatch.setattr(critical, "_log_derivative", counted)
-    got = _interval_zero(clusters, lo, hi, start)
+    got = _interval_zero(*stage, lo, hi, start)
     assert critical._NEWTON_BUDGET < len(calls) <= critical._NEWTON_BUDGET + 65  # 119 measured
-    assert got.hex() == sign_change_interval_zero(clusters, lo, hi).hex()
+    assert got.hex() == sign_change_interval_zero(_pairs(stage), lo, hi).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +955,9 @@ def test_interval_zero_bisects_over_the_floats_places_when_the_steps_run_out(mon
         [2e-320, 3e-320, 5e-320, 1e300],
         [1e-320, 3e-320, 1.7e308],
         [5e-308, 1e-307, 1.7e308],
+        # zeros of both signs: at the gaps' own scale, the terms' sum overflowed in fsum
+        [-6.42364e-319, 4.385373e-317, 1.14356738e-315, -1.00920467e-316, -1.305883491405471e-302,
+         -1.2669e-319, 1e300],
     ],
 )
 def test_a_subnormal_gap_beside_a_huge_zero_is_solved_at_its_own_scale(values):
@@ -991,27 +1018,36 @@ def _pinned_towers():
         yield values if len(values) >= 2 else values * 2
 
 
+def _tower_stages(values):
+    """The hex of the points of each stage of the derivative tower from the values, one string a stage."""
+    stages = []
+    while len(values) >= 2:
+        values = _real_critical_points(values)
+        stages.append(" ".join(x.hex() for x in values))
+    return stages
+
+
 def test_real_critical_points_are_pinned():
     # the hex of every point of every stage of each tower: 3,171 stages, 41,849 gaps,
     # 544 ends of runs where the sum is exactly 0, and 1,482 gaps across 0
     digest = hashlib.sha256()
     stages = 0
     for values in _pinned_towers():
-        while len(values) >= 2:
-            values = _real_critical_points(values)
-            digest.update(" ".join(x.hex() for x in values).encode() + b"\n")
+        for stage in _tower_stages(values):
+            digest.update(stage.encode() + b"\n")
             stages += 1
     assert stages == 3171
     assert digest.hexdigest() == "3ed783360dc842fb025a318197ed12ae78f71356db15d79e9833cc7ddbe4778a"
 
 
 def _pinned_clusters():
-    """120 sets of 2 to 40 (value, multiplicity) pairs, built from integers and math.ldexp alone.
+    """120 sets of 2 to 40 distinct values and their multiplicities, built from integers and math.ldexp alone.
 
     In turn: the clusters of real zeros of both signs over 2**-10 to 2**10,
     each repeated 1 to 8 times; complex values with components of both
     signs over 2**-20 to 2**20 and multiplicities 1 to 4; and the clusters
-    of real zeros of one size near 1e-300 or 1e300 with both signs.
+    of real zeros of one size near 1e-300 or 1e300 with both signs, all
+    simple, so their multiplicities are None.
     """
     words = _words(2030)
 
@@ -1029,11 +1065,12 @@ def _pinned_clusters():
         if i % 3 == 0:
             values = [v for v in [sign() * spread(-10, 10) for _ in range(k)] for _ in range(1 + draw(8))]
         elif i % 3 == 1:
-            yield [(complex(sign() * spread(-20, 20), sign() * spread(-20, 20)), 1 + draw(4)) for _ in range(k)]
+            pairs = [(complex(sign() * spread(-20, 20), sign() * spread(-20, 20)), 1 + draw(4)) for _ in range(k)]
+            yield [v for v, _ in pairs], [m for _, m in pairs]
             continue
         else:
             values = [sign() * spread(s - 5, s + 5) for s in [(-997, 997)[draw(2)]] for _ in range(k)]
-        yield _cluster_reals(values)[0]
+        yield _stage(values)
 
 
 def test_eigen_starts_are_pinned():
@@ -1041,9 +1078,9 @@ def test_eigen_starts_are_pinned():
     # the eigen-solve is the identity here, as LAPACK's last bits differ between builds, so
     # the digest pins the hex of every entry of the 120 compressed matrices, 61,428 in all
     digest = hashlib.sha256()
-    for clusters in _pinned_clusters():
-        block = _compressed_zeros(clusters, lambda block: block)
-        assert len(block) == len(clusters) - 1
+    for vals, mults in _pinned_clusters():
+        block = _compressed_zeros(vals, mults, lambda block: block)
+        assert len(block) == len(vals) - 1
         entries = [complex(x) for row in block for x in row]
         digest.update(" ".join(f"{x.real.hex()},{x.imag.hex()}" for x in entries).encode() + b"\n")
     assert digest.hexdigest() == "77a0922e8f05e3b520f2544f884487e897ddeabc771b6a8817f5f2e7425ffd12"

@@ -472,6 +472,9 @@ PINNED_REPORTS = [
      "1fcc0f1ca89a4bc1a50e4f10c2497037308c001a127f66a098a404aa52c6a325"),
     ("squeeze", 2, 8, "uniform:0.05,2", {},
      "57ca1f0a44a46e3a043dc3fce3b4d2aaedcce42f5210b79bb989e19851de911f"),
+    # the derivative tower's depth in the benchmark: every order's maximum distance, up to 19
+    ("squeeze", 12, 20, "uniform:0.05,2", {},
+     "3c93746cda24525556b8805f22faf16e42b28d753f2edf70e2ff3f84414f3d14"),
     # radius and angle words, and the second multiset's start after the first
     ("product_prop", 2, 8, "complex-disk:2", {},
      "ece10017b08582b597eaf3ae24e3abf1fa637f0da98525681bbc856dfc657609"),
@@ -480,7 +483,8 @@ PINNED_REPORTS = [
 
 @pytest.mark.parametrize(
     "claim, lo, hi, dist, extra, digest", PINNED_REPORTS,
-    ids=[c[0] if c[3].startswith("uniform:") else f"{c[0]}-{c[3]}" for c in PINNED_REPORTS],
+    ids=[c[0] + ("" if c[3].startswith("uniform:") else f"-{c[3]}") + ("" if c[2] <= 8 else f"-{c[1]}-{c[2]}")
+         for c in PINNED_REPORTS],
 )
 def test_canonical_reports_are_pinned(claim, lo, hi, dist, extra, digest):
     # A digest changes only together with a CHANGES.md entry saying why the reports changed.
