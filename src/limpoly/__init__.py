@@ -47,11 +47,9 @@ from .measure import (
     rescale_roots,
 )
 from .polynomials import (
-    DEFAULT_TOL,
     MonicPolynomial,
     RootDomainError,
     RootMultiset,
-    Tolerance,
     derivative,
     derivative_at_order,
     from_roots,

@@ -8,7 +8,12 @@ the test suite.
 
 All claims below concern a monic polynomial with positive real zeros
 and its least zero; "rest product" means the product of the remaining
-zeros, i.e. the measure of P(x)/(x - least zero).
+zeros, i.e. the measure of P(x)/(x - least zero).  product_prop, the
+one claim on two zero sets, is checked in measure.
+
+CLAIMS is the one table of claims: for each, its checker, the run_claim
+arguments that checker takes, and the most zeros it accepts.  run_claim,
+the sweeps and the analyze command make every per-claim decision from it.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .critical import _real_critical_points, critical_points
 from .critical import higher_derivative_zeros  # noqa: F401  bench/selftest.py reads it here
 from .expansion import index_bound_check, local_expansion_min
 from .measure import _require_nonnegative_finite, _require_positive_finite
-from .measure import _rest_measure, check_product_proposition
+from .measure import _rest_measure
+from .measure import check_product_proposition  # noqa: F401  CLAIMS names it
 from .polynomials import (
     RootMultiset,
     RootsLike,
@@ -54,12 +61,6 @@ __all__ = [
     "stirling_bound_compare",
     "stirling_sum",
 ]
-
-# The claims whose check takes eps; run_claim refuses them without one.
-CLAIMS_TAKING_EPS = frozenset({
-    ClaimId.BASIC_INEQUALITY, ClaimId.SQUEEZE, ClaimId.PERM_SUM_BOUND,
-    ClaimId.DERIV_SUM_BOUND, ClaimId.PRODUCT_PROP,
-})
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _STIRLING_N_MAX = 120  # overflow policy: factorials stay comfortably in double range
@@ -324,6 +325,26 @@ def check_index_bound(roots: RootsLike) -> ClaimVerdict:
     )
 
 
+class ClaimSpec(NamedTuple):
+    # The checker's name in this module.  run_claim looks it up per call, so a
+    # wrapper bound in its place (bench/tracer.py binds one) is the one called.
+    checker: str
+    takes: tuple[str, ...]  # the run_claim arguments the checker takes after the zeros, in order
+    degree_max: int | None = None  # most zeros it accepts; None: no limit
+
+
+# Every claim, in the order analyze reports them.
+CLAIMS = {
+    ClaimId.REAL_CASE: ClaimSpec("check_real_case", ("index_band",)),
+    ClaimId.INDEX_BOUND: ClaimSpec("check_index_bound", ()),
+    ClaimId.BASIC_INEQUALITY: ClaimSpec("check_basic_inequality", ("eps",), _STIRLING_N_MAX),
+    ClaimId.SQUEEZE: ClaimSpec("check_squeeze", ("eps", "delta")),
+    ClaimId.PERM_SUM_BOUND: ClaimSpec("check_perm_sum_bound", ("eps",)),
+    ClaimId.DERIV_SUM_BOUND: ClaimSpec("check_deriv_sum_bound", ("eps",), _STIRLING_N_MAX),
+    ClaimId.PRODUCT_PROP: ClaimSpec("check_product_proposition", ("second_roots", "eps", "delta")),
+}
+
+
 def run_claim(
     claim_id: ClaimId | str,
     roots: RootsLike,
@@ -333,28 +354,17 @@ def run_claim(
     second_roots: RootsLike | None = None,
     index_band: float = 1e-9,
 ) -> ClaimVerdict:
-    """Dispatch one claim check; raises ValueError for missing parameters."""
+    """Dispatch one claim check; raises ValueError for a missing argument or too many zeros."""
     cid = claim_id if isinstance(claim_id, ClaimId) else ClaimId(claim_id.upper())
-    if eps is None and cid in CLAIMS_TAKING_EPS:
-        raise ValueError(f"{cid.value} needs eps")
-    if cid is ClaimId.REAL_CASE:
-        return check_real_case(roots, index_band=index_band)
-    if cid is ClaimId.INDEX_BOUND:
-        return check_index_bound(roots)
-    if cid is ClaimId.PRODUCT_PROP:
-        if second_roots is None:
-            raise ValueError("PRODUCT_PROP needs a second root multiset")
-        if delta is None:
-            raise ValueError("PRODUCT_PROP needs delta")
-        return check_product_proposition(roots, second_roots, eps, delta)
-    if cid is ClaimId.BASIC_INEQUALITY:
-        return check_basic_inequality(roots, eps)
-    if cid is ClaimId.SQUEEZE:
-        if delta is None:
-            raise ValueError("SQUEEZE needs delta")
-        return check_squeeze(roots, eps, delta)
-    if cid is ClaimId.PERM_SUM_BOUND:
-        return check_perm_sum_bound(roots, eps)
-    if cid is ClaimId.DERIV_SUM_BOUND:
-        return check_deriv_sum_bound(roots, eps)
-    raise ValueError(f"unknown claim {claim_id!r}")
+    spec = CLAIMS[cid]
+    given = {"eps": eps, "delta": delta, "second_roots": second_roots, "index_band": index_band}
+    args = []
+    for name in spec.takes:
+        if (value := given[name]) is None:
+            raise ValueError(f"{cid.value} needs {name}")
+        args.append(value)
+    if spec.degree_max is not None:
+        roots = roots if isinstance(roots, RootMultiset) else RootMultiset(roots)
+        if roots.n > spec.degree_max:
+            raise ValueError(f"{cid.value} needs at most {spec.degree_max} zeros, got {roots.n}")
+    return globals()[spec.checker](roots, *args)

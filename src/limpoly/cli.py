@@ -13,7 +13,7 @@ import re
 import sys
 import time
 
-from .claims import CLAIMS_TAKING_EPS, run_claim
+from .claims import CLAIMS, run_claim
 from .critical import ConvergenceError, critical_points, sendov_distances
 from .expansion import (
     index_bound_check,
@@ -27,11 +27,7 @@ from .measure import (
     is_epsilon_limited,
     measure,
 )
-from .polynomials import (
-    DEFAULT_TOL,
-    RootMultiset,
-    from_roots,
-)
+from .polynomials import RootMultiset, from_roots
 from .search import (
     SearchConfig,
     complex_pullback_check,
@@ -40,7 +36,7 @@ from .search import (
     write_counterexample_log,
 )
 from .serialize import canonical_dumps, to_jsonable
-from .verdicts import ClaimId, Classification
+from .verdicts import TOL_ABS, TOL_REL, ClaimId, Classification
 
 __all__ = ["main", "parse_complex", "parse_roots"]
 
@@ -104,7 +100,7 @@ def _report(args, results: dict, **parsed) -> dict:
         "command": args.command,
         "inputs": inputs,
         "results": results,
-        "diagnostics": {"tolerance": {"abs": DEFAULT_TOL.abs, "rel": DEFAULT_TOL.rel}},
+        "diagnostics": {"tolerance": {"abs": TOL_ABS, "rel": TOL_REL}},
     }
 
 
@@ -244,11 +240,12 @@ def _emit(report: dict, as_json: bool) -> None:
 # subcommands
 
 
-# The claims analyze checks, in report order.
-_ANALYZE_CLAIMS = (
-    ClaimId.REAL_CASE, ClaimId.INDEX_BOUND, ClaimId.BASIC_INEQUALITY,
-    ClaimId.SQUEEZE, ClaimId.PERM_SUM_BOUND, ClaimId.DERIV_SUM_BOUND,
-)
+def _in_range(compute, *args, **kwargs):
+    """compute(*args, **kwargs), or a skip where a value it checks leaves double range."""
+    try:
+        return compute(*args, **kwargs)
+    except OverflowError:
+        return _skipped("out-of-double-range")
 
 
 def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) -> dict:
@@ -256,16 +253,18 @@ def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) 
         reason = "not-positive-real" if not rs.is_positive_real() else "degree-1"
         return {cid.value.lower(): _skipped(reason) for cid in ClaimId}
     claims: dict = {}
-    for cid in _ANALYZE_CLAIMS:
+    for cid, spec in CLAIMS.items():
         name = cid.value.lower()
-        if eps is None and cid in CLAIMS_TAKING_EPS:
+        if "second_roots" in spec.takes:
+            claims[name] = _skipped("requires-two-polynomials")
+        elif eps is None and "eps" in spec.takes:
             claims[name] = _skipped("no-eps")
+        elif spec.degree_max is not None and rs.n > spec.degree_max:
+            claims[name] = _skipped(f"degree-above-{spec.degree_max}")
         else:
-            try:
-                claims[name] = run_claim(cid, rs, eps=eps, delta=delta, index_band=index_band)
-            except OverflowError:
-                claims[name] = _skipped("out-of-double-range")
-    claims["product_prop"] = _skipped("requires-two-polynomials")
+            claims[name] = _in_range(
+                run_claim, cid, rs, eps=eps, delta=delta, index_band=index_band
+            )
     return claims
 
 
@@ -279,9 +278,9 @@ def _cmd_analyze(args) -> int:
         results["limitedness"] = is_epsilon_limited(rs, args.eps)
 
     if rs.is_positive_real():
-        exp = local_expansion_min(rs)
-        results["expansion"] = exp
-        results["index_bound"] = index_bound_check(exp, rs)
+        exp = results["expansion"] = _in_range(local_expansion_min, rs)
+        skipped = isinstance(exp, dict)
+        results["index_bound"] = exp if skipped else _in_range(index_bound_check, exp, rs)
     else:
         results["expansion"] = _skipped("not-positive-real")
         results["index_bound"] = _skipped("not-positive-real")

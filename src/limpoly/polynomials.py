@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "DEFAULT_TOL",
     "MonicPolynomial",
     "RootDomainError",
     "RootMultiset",
-    "Tolerance",
     "derivative",
     "derivative_at_order",
     "from_roots",
@@ -37,23 +35,6 @@ class RootDomainError(ValueError):
         self.root = root
         self.requirement = requirement
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Combined float comparison: |u - v| <= abs + rel * max(|u|, |v|)."""
-
-    abs: float = 1e-10
-    rel: float = 1e-9
-
-    def gap(self, u: complex, v: complex) -> float:
-        """Largest |u - v| still considered equal for this pair."""
-        return self.abs + self.rel * max(abs(u), abs(v))
-
-    def close(self, u: complex, v: complex) -> bool:
-        return abs(u - v) <= self.gap(u, v)
-
-
-DEFAULT_TOL = Tolerance()
 
 RootsLike = Union["RootMultiset", Iterable[complex]]
 

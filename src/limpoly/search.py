@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import _STIRLING_N_MAX, CLAIMS_TAKING_EPS, run_claim
+from .claims import CLAIMS, run_claim
 from .critical import ConvergenceError, CriticalSet, critical_points
 from .measure import _require_nonnegative_finite, _require_positive_finite, _rest_measure, measure
 from .polynomials import RootMultiset, RootsLike, from_roots
@@ -124,6 +124,11 @@ def _parse_policy(spec: str):
     return kind, value
 
 
+def _paired(claim: ClaimId) -> bool:
+    """Whether the claim takes a second zero set, drawn after the first."""
+    return "second_roots" in CLAIMS[claim].takes
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     claim_id: ClaimId
@@ -154,25 +159,24 @@ class SearchConfig:
             raise ValueError("counterexample_cap must be nonnegative")
         _require_positive_finite("delta", self.delta)
         _require_nonnegative_finite("index_band", self.index_band)
-        if (
-            self.claim_id in (ClaimId.BASIC_INEQUALITY, ClaimId.DERIV_SUM_BOUND)
-            and self.degree_max > _STIRLING_N_MAX
-        ):
+        limit = CLAIMS[self.claim_id].degree_max
+        if limit is not None and self.degree_max > limit:
             raise ValueError(
-                f"{self.claim_id.value} needs degree_max <= {_STIRLING_N_MAX} "
-                "(its factorial and Stirling sums stay in double range only that far)"
+                f"{self.claim_id.value} needs degree_max <= {limit} "
+                "(its checked values stay in double range only that far)"
             )
         kind, params = _parse_distribution(self.distribution)
         policy, factor = _parse_policy(self.epsilon_policy)
-        if kind == "complex-disk" and self.claim_id is not ClaimId.PRODUCT_PROP:
+        paired = _paired(self.claim_id)
+        if kind == "complex-disk" and not paired:
             raise ValueError(
                 f"{self.claim_id.value} needs positive real zeros; "
                 "complex-disk sweeps support PRODUCT_PROP only"
             )
         # Every measure a sample takes, and every eps drawn from one, stays
         # in double range when these powers of the distribution's bounds do.
-        # PRODUCT_PROP also takes the measure of both multisets together.
-        zeros = self.degree_max * (2 if self.claim_id is ClaimId.PRODUCT_PROP else 1)
+        # A claim on two zero sets also takes the measure of both together.
+        zeros = self.degree_max * (2 if paired else 1)
         scale = math.log(factor) if policy == "measure-times" else 0.0
         for b in params:
             logs = (zeros * math.log(b), scale + self.degree_max * math.log(b))
@@ -299,7 +303,7 @@ def _layout(config: SearchConfig) -> tuple[int, int, int]:
     kind, _ = _parse_distribution(config.distribution)
     skip = int(config.degree_min < config.degree_max)
     per_zero = 2 if kind == "complex-disk" else 1  # a radius and an angle
-    sets = 2 if config.claim_id is ClaimId.PRODUCT_PROP else 1
+    sets = 2 if _paired(config.claim_id) else 1
     return skip, per_zero, skip + sets * per_zero * config.degree_max
 
 
@@ -356,7 +360,7 @@ def generate_roots(
         def zeros(row, n, at):
             return values[row][at:at + n]
     firsts = [zeros(row, n, 0) for row, n in enumerate(degrees)]
-    if config.claim_id is not ClaimId.PRODUCT_PROP:
+    if not _paired(config.claim_id):
         return firsts, [None] * len(firsts)
     return firsts, [zeros(row, n, per_zero * n) for row, n in enumerate(degrees)]
 
@@ -365,7 +369,7 @@ def _resolve_eps(policy: tuple[str, float], roots: RootMultiset, claim: ClaimId)
     kind, value = policy
     if kind == "fixed":
         return value
-    if claim is ClaimId.PRODUCT_PROP:
+    if _paired(claim):  # eps and delta bound each zero set's whole measure
         return value * measure(roots)
     return value * _rest_measure(roots.roots, roots.min_modulus_index())
 
@@ -416,7 +420,7 @@ def run_search(config: SearchConfig, start: int = 0, count: int | None = None) -
     found: list[CounterexampleRecord] = []
     cap, dropped = config.counterexample_cap, 0
     policy = _parse_policy(config.epsilon_policy)
-    takes_eps = config.claim_id in CLAIMS_TAKING_EPS
+    takes_eps = "eps" in CLAIMS[config.claim_id].takes
     rows = max(1, min(_KEY_BLOCK, _BLOCK_WORDS // _layout(config)[2]))
     # Samples are drawn a block at a time, and each is validated as it is taken.
     samples = (

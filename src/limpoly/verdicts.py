@@ -3,12 +3,12 @@
 A checker evaluates each hypothesis and the conclusion of one claim on
 one concrete instance and classifies the instance.  Every inequality is
 checked by one rule, attained < bound: the margin is bound - attained,
-the noise boundary is DEFAULT_TOL.gap(bound, attained), and the check
-holds when the margin is positive.  A side that is not finite raises
-OverflowError, since no margin can be read from it.  COUNTEREXAMPLE is
-only emitted when every hypothesis margin clears the noise boundary and
-the conclusion margin fails beyond it, so boundary ties never count as
-counterexamples.
+the noise boundary is TOL_ABS + TOL_REL * max(|bound|, |attained|), and
+the check holds when the margin is positive.  A side that is not finite
+raises OverflowError, since no margin can be read from it.
+COUNTEREXAMPLE is only emitted when every hypothesis margin clears the
+noise boundary and the conclusion margin fails beyond it, so boundary
+ties never count as counterexamples.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-from .polynomials import DEFAULT_TOL
 
 __all__ = [
     "ClaimId",
@@ -30,6 +28,11 @@ __all__ = [
     "conclusion_check",
     "hypothesis_check",
 ]
+
+
+# The noise boundary of every check: margins within it are ties.
+TOL_ABS = 1e-10
+TOL_REL = 1e-9
 
 
 class ClaimId(str, Enum):
@@ -77,7 +80,7 @@ def _below(attained: float, bound: float) -> tuple[bool, float, float]:
     if not (math.isfinite(attained) and math.isfinite(bound)):
         raise OverflowError(f"checked value out of double range: {attained!r} < {bound!r}")
     margin = bound - attained
-    return margin > 0.0, margin, DEFAULT_TOL.gap(bound, attained)
+    return margin > 0.0, margin, TOL_ABS + TOL_REL * max(abs(bound), abs(attained))
 
 
 def hypothesis_check(name: str, attained: float, bound: float) -> HypothesisCheck:

@@ -29,9 +29,8 @@ from limpoly import (
     stirling_bound_compare,
     stirling_sum,
 )
-from limpoly.claims import CLAIMS_TAKING_EPS
 from limpoly.search import _parse_policy, _resolve_eps, generate_roots
-from limpoly.verdicts import conclusion_check, hypothesis_check
+from limpoly.verdicts import classify, conclusion_check, hypothesis_check
 
 
 def _mp_stirling_sum(n: int) -> float:
@@ -138,6 +137,17 @@ def test_a_check_with_a_side_out_of_double_range_raises():
             conclusion_check(attained, bound)
         with pytest.raises(OverflowError):
             hypothesis_check("h", attained, bound)
+
+
+def test_a_checks_noise_boundary_is_one_absolute_and_one_relative_part():
+    for attained, bound in ((100.9, 100.0), (-3.0, 2.5), (0.0, 0.0), (1e-12, -1e-12)):
+        boundary = 1e-10 + 1e-9 * max(abs(attained), abs(bound))
+        assert conclusion_check(attained, bound).boundary == boundary
+        assert hypothesis_check("h", attained, bound).boundary == boundary
+    # a conclusion failing within the boundary (about 1.0e-7 here) is a tie, beyond it a failure
+    met = (hypothesis_check("h", 0.0, 1.0),)
+    assert classify(met, conclusion_check(100.0 + 0.9e-7, 100.0)) is Classification.CONFIRMED
+    assert classify(met, conclusion_check(100.0 + 2e-7, 100.0)) is Classification.COUNTEREXAMPLE
 
 
 def test_basic_inequality_chain_flags():
@@ -420,17 +430,30 @@ def test_run_claim_dispatch_and_validation():
     assert verdict.claim_id is ClaimId.PRODUCT_PROP
 
 
+# The inputs each claim's statement needs beyond its zeros.
+_CLAIM_INPUTS = {
+    ClaimId.REAL_CASE: (),
+    ClaimId.INDEX_BOUND: (),
+    ClaimId.BASIC_INEQUALITY: ("eps",),
+    ClaimId.SQUEEZE: ("eps", "delta"),
+    ClaimId.PERM_SUM_BOUND: ("eps",),
+    ClaimId.DERIV_SUM_BOUND: ("eps",),
+    ClaimId.PRODUCT_PROP: ("eps", "delta", "second_roots"),
+}
+
+
 @pytest.mark.parametrize("cid", list(ClaimId), ids=[c.value for c in ClaimId])
 def test_run_claim_asks_for_eps_exactly_for_the_claims_taking_it(cid):
-    kwargs = {"delta": 1.0}
-    if cid is ClaimId.PRODUCT_PROP:
-        kwargs["second_roots"] = [0.5, 2.0]
-    if cid in CLAIMS_TAKING_EPS:
-        with pytest.raises(ValueError, match="needs eps"):
-            run_claim(cid, [0.5, 2.0], **kwargs)
-        assert run_claim(cid, [0.5, 2.0], eps=1.0, **kwargs).claim_id is cid
-    else:
-        assert run_claim(cid, [0.5, 2.0], **kwargs).claim_id is cid
+    # and for delta and the second multiset exactly where the claim takes them
+    given = {"eps": 1.0, "delta": 1.0, "second_roots": [0.5, 2.0]}
+    assert run_claim(cid, [0.5, 2.0], **given).claim_id is cid
+    for name in given:
+        rest = {k: v for k, v in given.items() if k != name}
+        if name in _CLAIM_INPUTS[cid]:
+            with pytest.raises(ValueError, match=f"^{cid.value} needs {name}$"):
+                run_claim(cid, [0.5, 2.0], **rest)
+        else:
+            assert run_claim(cid, [0.5, 2.0], **rest).claim_id is cid
 
 
 @pytest.mark.parametrize("claim", ["index_bound", ClaimId.INDEX_BOUND])

@@ -201,6 +201,35 @@ def test_analyze_skips_a_claim_whose_check_leaves_double_range(capsys):
     assert claims["squeeze"]["classification"] == "COUNTEREXAMPLE"
 
 
+def test_analyze_skips_a_claim_above_its_largest_degree(capsys):
+    # the factorial and Stirling sums of two claims stop at 120 zeros; the rest run at 121
+    roots = ",".join(repr(0.5 + 0.5 * k / 121) for k in range(121))
+    code, out, _ = run_cli(capsys, "analyze", "--roots", roots, "--eps", "1", "--json")
+    assert code == 0
+    claims = json.loads(out)["results"]["claims"]
+    skipped = {name: c["reason"] for name, c in claims.items() if c.get("skipped")}
+    assert skipped == {
+        "basic_inequality": "degree-above-120",
+        "deriv_sum_bound": "degree-above-120",
+        "product_prop": "requires-two-polynomials",
+    }
+    # verify has no report to keep: one line that names the claim and its limit
+    code, out, err = run_cli(capsys, "verify", "--claim", "basic_inequality", "--roots", roots,
+                             "--eps", "1")
+    assert (code, out) == (1, "")
+    assert err == "limpoly verify: error: BASIC_INEQUALITY needs at most 120 zeros, got 121\n"
+
+
+def test_analyze_skips_an_expansion_that_leaves_double_range(capsys):
+    # the expansion's coefficients overflow; the critical points and distances are finite
+    code, out, _ = run_cli(capsys, "analyze", "--roots", "1e300,2e300,1e-300")
+    assert code == 0
+    lines = out.splitlines()
+    for section in ("expansion", "index_bound", "  real_case", "  index_bound"):
+        assert f"{section}: skipped (out-of-double-range)" in lines
+    assert "critical points (interlace-bisection): 4.226497e+299, 1.577350e+300" in lines
+
+
 def test_analyze_solver_error_is_a_one_line_error(capsys, monkeypatch):
     def no_convergence(p):
         raise critical.ConvergenceError("no convergence after 200 sweeps", (), ())

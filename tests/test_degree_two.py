@@ -51,17 +51,22 @@ def _log_uniform_pair_probability(upper, lo: float, hi: float) -> float:
     return float(2.0 * np.trapezoid(length, y) / (b - a) ** 2)
 
 
-def _sweep_counts(claim: str, lo: float, hi: float, samples: int, seed: int,
-                  kind: str = "uniform") -> dict:
+def _counts(claim: str, distribution: str, samples: int, seed: int, **options) -> dict:
     config = SearchConfig(
         claim_id=claim, degree_min=2, degree_max=2, samples=samples, seed=seed,
-        distribution=f"{kind}:{lo},{hi}",
+        distribution=distribution, **options,
     )
     counts = run_search(config).counts
+    assert counts["SOLVER_FAILURE"] == 0
+    return counts
+
+
+def _sweep_counts(claim: str, lo: float, hi: float, samples: int, seed: int,
+                  kind: str = "uniform") -> dict:
+    counts = _counts(claim, f"{kind}:{lo},{hi}", samples, seed)
     # The default eps policy, eps = 1.01 times the rest product M, makes the one hypothesis
     # (M < eps) hold for every sample.
     assert counts["HYPOTHESES_NOT_MET"] == 0
-    assert counts["SOLVER_FAILURE"] == 0
     return counts
 
 
@@ -146,3 +151,31 @@ def test_index_bound_degree_two_has_no_counterexample():
         assert report.counts["CONFIRMED"] == 4000
         # buckets 0-3 hold the margins below 0
         assert report.margin_histograms[2][:MARGIN_BIN_EDGES.index(0.0) + 1] == [0, 0, 0, 0]
+
+
+def test_real_case_degree_two_uniform():
+    # H1 is M < 1.  About m, P = y (y - (M - m)), so H2 reads |(M - m) - 1| < 2 band.  The one
+    # critical point is (M - m) / 2 from m, below 1 whenever H1 holds, so no sample is a
+    # COUNTEREXAMPLE and one is CONFIRMED iff M < 1 and M - m > 1 - 2 band.  Both zeros below 1
+    # are uniform on [lo, 1), where the gap exceeds g >= 0 with probability (1 - g / (1 - lo))^2.
+    lo, hi, samples = 0.05, 2.0, 4000
+    both_below_one = ((1.0 - lo) / (hi - lo)) ** 2
+    for band in (0.25, 1.0):  # g = 0.5: about 213 CONFIRMED; g < 0, every M < 1: about 949
+        counts = _counts("real_case", f"uniform:{lo},{hi}", samples, seed=2028, index_band=band)
+        assert counts["COUNTEREXAMPLE"] == 0
+        p = both_below_one * _uniform_gap_at_least(max(1.0 - 2.0 * band, 0.0), lo, 1.0)
+        _assert_binomial(counts["CONFIRMED"], samples, p)
+
+
+def test_squeeze_degree_two_fixed_eps():
+    # eps = E for every sample, so the hypothesis M < E fails on some; the conclusion
+    # (M - m) / 2 < delta fails iff M - m > 2 delta.  Both zeros below E are uniform on
+    # [lo, E): COUNTEREXAMPLE about 1000 of 4000, CONFIRMED about 2062, the rest not met.
+    lo, hi, samples, big_e, delta = 0.05, 4.05, 4000, 3.55, 0.75
+    counts = _counts("squeeze", f"uniform:{lo},{hi}", samples, seed=2028,
+                     epsilon_policy=f"fixed:{big_e}", delta=delta)
+    both_below_e = ((big_e - lo) / (hi - lo)) ** 2
+    failing = both_below_e * _uniform_gap_at_least(2.0 * delta, lo, big_e)
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, failing)
+    _assert_binomial(counts["CONFIRMED"], samples, both_below_e - failing)
+    _assert_binomial(counts["HYPOTHESES_NOT_MET"], samples, 1.0 - both_below_e)

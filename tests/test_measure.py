@@ -6,7 +6,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from limpoly import (
-    DEFAULT_TOL,
     Classification,
     RootDomainError,
     RootMultiset,
@@ -116,7 +115,7 @@ def test_product_proposition_examples():
     assert not names["zero-sets-disjoint"]
     details = shared.details  # the measures are reported whatever the verdict
     product = details["first_measure"] * details["second_measure"]
-    assert DEFAULT_TOL.close(details["product_measure"], product)
+    assert math.isclose(details["product_measure"], product, rel_tol=1e-9, abs_tol=1e-10)
 
 
 def test_product_measure_is_the_product_of_the_measures():
@@ -127,7 +126,7 @@ def test_product_measure_is_the_product_of_the_measures():
         q = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k)).tolist()
         details = check_product_proposition(p, q, 1.0, 1.0).details
         product = details["first_measure"] * details["second_measure"]
-        assert DEFAULT_TOL.close(details["product_measure"], product), (p, q)
+        assert math.isclose(details["product_measure"], product, rel_tol=1e-9, abs_tol=1e-10), (p, q)
 
 
 def test_product_proposition_rejects_bad_bounds():

@@ -8,7 +8,6 @@ from limpoly import (
     MonicPolynomial,
     RootDomainError,
     RootMultiset,
-    Tolerance,
     derivative,
     derivative_at_order,
     from_roots,
@@ -146,12 +145,6 @@ def test_root_multiset_rejects_non_finite_zeros(bad):
         RootMultiset([1, 2, bad, 3])
     assert info.value.index == 2
     assert info.value.requirement == "finite"
-
-
-def test_tolerance_combined_form():
-    tol = Tolerance(abs=1e-3, rel=1e-2)
-    assert tol.close(100.0, 100.9)
-    assert not tol.close(100.0, 102.0)
 
 
 complex_roots = st.complex_numbers(
