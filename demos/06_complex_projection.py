@@ -18,8 +18,8 @@ from limpoly import (
 )
 
 
-def pullback(zeros, slack=0.0):
-    return complex_pullback_check(zeros, critical_points(from_roots(zeros)), slack)
+def pullback(zeros):
+    return complex_pullback_check(zeros, critical_points(from_roots(zeros)))
 
 
 roots = (3 + 4j, 1j, -0.5)
@@ -33,8 +33,7 @@ print("== symmetric pair ==")
 record = pullback([0.5, 0.5j])
 print("zeros (0.5, 0.5i): the only critical point is the centroid",
       record.true_critical_points[0])
-print(f"distance from the least-modulus zero: {record.min_distance_true:.6f}"
-      f"  (within 1 + slack: {record.within_bound})")
+print(f"distance from the least-modulus zero: {record.min_distance_true:.6f}")
 
 print()
 print("== fourth roots of unity: an exact boundary ==")
@@ -43,10 +42,13 @@ crit = critical_points(from_roots(quartic))
 record = complex_pullback_check(quartic, crit)
 print("true critical points (triple zero of 4x^3):",
       [complex(round(z.real, 12), round(z.imag, 12)) for z in record.true_critical_points])
+table = sendov_distances(quartic, crit)
 print("distance from every zero (sendov_distances, on the same critical set):",
-      [round(d, 9) for d in sendov_distances(quartic, crit).per_zero_min])
+      [round(d, 9) for d in table.per_zero_min])
+print(f"every zero within unit distance: {table.all_within_unit}; "
+      f"pullback distance from the least-modulus zero: {record.min_distance_true!r}")
 print("projected side: every modulus is 1, so the projected polynomial is")
 print(f"(x-1)^4 with critical points {[round(z.real, 6) for z in record.projected_critical_points]}"
       f" and distances {[round(d, 6) for d in record.projected_distances]}")
-print("the true distance sits exactly at 1: a slack of any size settles the comparison,")
-print(f"e.g. slack 0.01 -> within: {pullback([1, 1j, -1, -1j], slack=0.01).within_bound}")
+print("the true distance sits exactly at 1, so the strict comparison with 1 falls on")
+print("roundoff: settling it needs a certified distance (ROADMAP item 16)")

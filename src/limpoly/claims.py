@@ -42,7 +42,6 @@ from .polynomials import (
 from .verdicts import (
     ClaimId,
     ClaimVerdict,
-    ConclusionCheck,
     build_verdict,
     conclusion_check,
     hypothesis_check,
@@ -105,12 +104,17 @@ def stirling_bound_compare(n: int) -> StirlingBound:
     )
 
 
+def _require_two_zeros(rs: RootMultiset) -> None:
+    """Every claim compares the least zero with the others, so it needs two zeros."""
+    if rs.n < 2:
+        raise ValueError(f"claim needs at least 2 zeros, got {rs.n}")
+
+
 def _positive_real_setup(roots: RootsLike):
     """Validated values, least-zero index, and the rest product."""
     rs = RootMultiset(roots)
     values = rs.positive_reals()
-    if rs.n < 2:
-        raise ValueError(f"claim needs at least 2 zeros, got {rs.n}")
+    _require_two_zeros(rs)
     j = values.index(min(values))  # positive reals: the least modulus, ties to the first
     return rs, values, j, _rest_measure(values, j)
 
@@ -302,19 +306,17 @@ def check_deriv_sum_bound(roots: RootsLike, eps: float) -> ClaimVerdict:
 def check_index_bound(roots: RootsLike) -> ClaimVerdict:
     """Expansion-coefficient bound about the least zero, as a claim verdict.
 
-    No hypotheses beyond the positive-real precondition; the conclusion
-    is that every non-leading expansion coefficient stays strictly below
-    the product of the non-center zeros.  Known to fail on small zeros.
+    No hypotheses beyond the preconditions (positive real zeros, at least
+    two); the conclusion is that every non-leading expansion coefficient
+    stays strictly below the product of the non-center zeros.  Known to
+    fail on small zeros.
     """
     rs = RootMultiset(roots)
     exp = local_expansion_min(rs)
+    _require_two_zeros(rs)
     report = index_bound_check(exp, rs)
-    if report.entries:
-        checks = (conclusion_check(e.magnitude, report.bound) for e in report.entries)
-        concl = min(checks, key=lambda c: c.margin)  # the worst order
-    else:
-        # Degree 1: no coefficients in range, the bound holds vacuously.
-        concl = ConclusionCheck(holds=True, margin=0.0, boundary=0.0)
+    checks = (conclusion_check(e.magnitude, report.bound) for e in report.entries)
+    concl = min(checks, key=lambda c: c.margin)  # the worst order
     return build_verdict(
         ClaimId.INDEX_BOUND,
         (),

@@ -41,7 +41,7 @@ from .verdicts import TOL_ABS, TOL_REL, ClaimId, Classification
 __all__ = ["main", "parse_complex", "parse_roots"]
 
 # Each command's document layout; a version moves whenever that command's fields change.
-SCHEMA_VERSION = {"analyze": "4", "expand": "3", "search": "4", "verify": "3"}
+SCHEMA_VERSION = {"analyze": "5", "expand": "3", "search": "4", "verify": "4"}
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^(?P<real>[+-]?{_FLOAT})(?:(?P<imag>[+-]{_FLOAT})i)?$")
@@ -204,12 +204,12 @@ def _render_sections(results: dict, out) -> None:
                 else:
                     _print_verdict(claim_name, entry, out)
         elif key == "verdict":
-            _print_verdict(results.get("claim", "claim"), value, out)
+            print(f"claim: {value['claim_id']}", file=out)
+            _print_verdict(value["claim_id"], value, out)
         elif key == "complex_pullback":
             print(
                 f"projection check: nearest critical point is "
-                f"{_fmt(value['min_distance_true'])} from the least-modulus zero "
-                f"(within 1 + slack: {value['within_bound']})",
+                f"{_fmt(value['min_distance_true'])} from the least-modulus zero",
                 file=out,
             )
         elif key == "search":
@@ -221,8 +221,6 @@ def _render_sections(results: dict, out) -> None:
                 f"(overflow {value['overflow']})",
                 file=out,
             )
-        elif key == "claim":
-            print(f"claim: {value}", file=out)
         elif key == "center":
             print(f"center: {_fmt(value)}", file=out)
         else:
@@ -251,7 +249,7 @@ def _in_range(compute, *args, **kwargs):
 def _claims_for_analyze(rs: RootMultiset, eps, delta: float, index_band: float) -> dict:
     if not rs.is_positive_real() or rs.n < 2:
         reason = "not-positive-real" if not rs.is_positive_real() else "degree-1"
-        return {cid.value.lower(): _skipped(reason) for cid in ClaimId}
+        return _skipped(reason)
     claims: dict = {}
     for cid, spec in CLAIMS.items():
         name = cid.value.lower()
@@ -278,12 +276,9 @@ def _cmd_analyze(args) -> int:
         results["limitedness"] = is_epsilon_limited(rs, args.eps)
 
     if rs.is_positive_real():
-        exp = results["expansion"] = _in_range(local_expansion_min, rs)
-        skipped = isinstance(exp, dict)
-        results["index_bound"] = exp if skipped else _in_range(index_bound_check, exp, rs)
+        results["expansion"] = _in_range(local_expansion_min, rs)
     else:
         results["expansion"] = _skipped("not-positive-real")
-        results["index_bound"] = _skipped("not-positive-real")
 
     if rs.n >= 2:
         crit = critical_points(from_roots(rs))
@@ -300,7 +295,7 @@ def _cmd_analyze(args) -> int:
     elif rs.n < 2:
         results["complex_pullback"] = _skipped("degree-1")
     else:
-        results["complex_pullback"] = complex_pullback_check(rs, crit, args.slack)
+        results["complex_pullback"] = complex_pullback_check(rs, crit)
 
     _emit(_report(args, results, roots=rs.roots), args.json)
     return 0
@@ -326,7 +321,7 @@ def _cmd_verify(args) -> int:
         second_roots=second,
         index_band=args.index_band,
     )
-    results = {"claim": cid.value, "verdict": verdict}
+    results = {"verdict": verdict}
     parsed = {"claim": cid.value, "roots": rs.roots, "roots2": second.roots if second else None}
     _emit(_report(args, results, **parsed), args.json)
     return 2 if verdict.classification is Classification.COUNTEREXAMPLE else 0
@@ -433,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("analyze", _cmd_analyze, "full per-instance report", bounds)
     p.add_argument("--roots", required=True, help="comma-separated complex literals")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--slack", type=float, default=0.0)
 
     p = command("verify", _cmd_verify, "check one claim on one instance", bounds)
     p.add_argument("--claim", required=True)
@@ -465,7 +459,6 @@ _BOUND_RULES = (
     ("eps", _require_positive_finite),
     ("delta", _require_positive_finite),
     ("index_band", _require_nonnegative_finite),
-    ("slack", _require_nonnegative_finite),
 )
 
 

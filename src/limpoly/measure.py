@@ -8,6 +8,7 @@ its measure is strictly below eps.  The closure laws the measure obeys
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,9 +50,15 @@ def measure(roots: RootsLike) -> float:
     if not values:
         raise ValueError("a root multiset needs at least one root")
     mantissa, exponent = 1.0, 0
-    for m in map(abs, values):
-        mantissa, e = math.frexp(mantissa * m)
-        exponent += e
+    try:
+        for m in map(abs, values):
+            mantissa, e = math.frexp(mantissa * m)
+            exponent += e
+    except OverflowError:  # complex abs raised on a finite zero: halve, in place and by
+        # components, each finite zero past 1 (its modulus halves exactly), and append a 2.0 each
+        big = [cmath.isfinite(z) and abs(z.real) + abs(z.imag) > 1 for z in values]
+        halved = [complex(z.real / 2, z.imag / 2) if b else z for z, b in zip(values, big)]
+        return measure(halved + [2.0] * sum(big))
     if not math.isfinite(mantissa):
         i = next(i for i, m in enumerate(map(abs, values)) if not math.isfinite(m))
         raise RootDomainError(i, complex(values[i]), "finite")

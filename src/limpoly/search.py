@@ -546,19 +546,15 @@ class PullbackRecord:
     projected_roots: tuple[complex, ...]
     projected_critical_points: tuple[complex, ...]
     min_distance_true: float  # from the least root to its nearest true critical point
-    within_bound: bool  # min_distance_true < 1 + slack
     projected_distances: tuple[float, ...]  # from |least root| to projected criticals
 
 
-def complex_pullback_check(
-    complex_roots: RootsLike, crit: CriticalSet, slack: float = 0.0
-) -> PullbackRecord:
+def complex_pullback_check(complex_roots: RootsLike, crit: CriticalSet) -> PullbackRecord:
     """Project to moduli, solve the projection, report zero-to-critical distances.
 
     crit is the critical set of the zeros themselves, as for
     sendov_distances: a caller that reports it has solved it already.
     """
-    _require_nonnegative_finite("slack", slack)
     rs = RootMultiset(complex_roots)
     if rs.n < 2:
         raise ValueError("needs at least two roots")
@@ -567,12 +563,10 @@ def complex_pullback_check(
     projected = modulus_projection(rs)
     projected_crit = critical_points(from_roots(projected))
     least = rs.roots[rs.min_modulus_index()]
-    min_distance = min(abs(least - b) for b in crit.points)
     return PullbackRecord(
         true_critical_points=crit.points,
         projected_roots=projected.roots,
         projected_critical_points=projected_crit.points,
-        min_distance_true=min_distance,
-        within_bound=min_distance < 1.0 + slack,
+        min_distance_true=min(abs(least - b) for b in crit.points),
         projected_distances=tuple(abs(abs(least) - c.real) for c in projected_crit.points),
     )

@@ -407,10 +407,10 @@ def test_index_bound_claim():
         check_index_bound([1e-300, 1e200, 1e200, 1e-100])
 
 
-def test_index_bound_claim_singleton_vacuous():
-    verdict = check_index_bound([0.4])
-    assert verdict.classification is Classification.CONFIRMED
-    assert verdict.details["magnitudes"] == []
+def test_index_bound_claim_rejects_singleton():
+    # no order to check: one zero is rejected as by every other claim, not confirmed at margin 0
+    with pytest.raises(ValueError, match="claim needs at least 2 zeros, got 1"):
+        check_index_bound([0.4])
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,13 @@ def test_analyze_cubic_json(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--roots", "1,2,3", "--eps", "7", "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == "4"
+    assert report["schema_version"] == "5"
     assert report["command"] == "analyze"
     results = report["results"]
     assert results["measure"] == pytest.approx(6.0)
     assert results["limitedness"]["is_limited"]
     assert results["expansion"]["coeffs"] == [2, -3, 1]
+    assert "index_bound" not in results  # the index_bound claim reports it
     points = [complex(re, im) for re, im in results["critical_points"]["points"]]
     assert points[0].real == pytest.approx(1.42265, abs=1e-5)
     assert points[1].real == pytest.approx(2.57735, abs=1e-5)
@@ -86,6 +87,7 @@ def test_analyze_singleton(capsys):
     assert results["expansion"]["coeffs"] == [1]
     assert results["critical_points"]["reason"] == "degree-1"
     assert results["limitedness"]["reason"] == "no-eps"
+    assert results["claims"] == {"skipped": True, "reason": "degree-1"}
 
 
 def test_analyze_complex_roots(capsys):
@@ -93,6 +95,7 @@ def test_analyze_complex_roots(capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["expansion"]["reason"] == "not-positive-real"
+    assert results["claims"] == {"skipped": True, "reason": "not-positive-real"}
     pullback = results["complex_pullback"]
     assert not pullback.get("skipped")
     assert pullback["projected_roots"][0][0] == pytest.approx(2**0.5)
@@ -225,7 +228,7 @@ def test_analyze_skips_an_expansion_that_leaves_double_range(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--roots", "1e300,2e300,1e-300")
     assert code == 0
     lines = out.splitlines()
-    for section in ("expansion", "index_bound", "  real_case", "  index_bound"):
+    for section in ("expansion", "  real_case", "  index_bound"):
         assert f"{section}: skipped (out-of-double-range)" in lines
     assert "critical points (interlace-bisection): 4.226497e+299, 1.577350e+300" in lines
 
@@ -252,25 +255,25 @@ def test_analyze_json_round_trip(capsys):
 # with a CHANGES.md entry saying why the output changed.
 PINNED_JSON = {
     "analyze --roots 1,2,3 --eps 7":
-        "c199d143a9c632513e98e501d2dd589ca3add1c6c6d3494d1defb5d09ae753b8",
+        "2d4e7f0bc0f2162d94b2c729644c5e41786e2fb6640a7392cf2d0ded689ddb7e",
     "analyze --roots 0.001,0.001,500 --eps 1":
-        "ce25a97ded14db4aebe629d98abd6f2d8080fcf2767cb235881345dd8da969ce",
+        "0a5a47bebcf07aa4bc704ee3cd149d818f3510015c1c0fbbea9b2bdf288a803f",
     "analyze --roots 1+1i,2":
-        "90a62d3e914c22176125b7eefdc9ceb5a051c3b11c84026777655eec122e2789",
+        "aa53e745e3d532c5cebc2a9d8800618a87ec035f8a1b3de2bfea27d88a4e26ae",
     "verify --claim real_case --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "35e467c483b343b8f7808baeeed2e63995ecf149ae5d4ee5e9425d7f121e7fb3",
+        "d73adf3eaef57819879dfc64ad0a43c717eb9f27fae0995002d5b9962fbd8f4c",
     "verify --claim index_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "13c2642bde3392820c46ebb00731c609e4bcf4b8953806642c535d529209d1c9",
+        "74f9c5e8b5c7d0d6e223a0f20453198992e4c526ed41dc09895a0e65bd1e93cb",
     "verify --claim basic_inequality --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "3e15f244816467960e75c9057957ba49c381c14a76ac501f1536ff27a34e9b15",
+        "cc3244ad2abe4e407f5d0bc8e2a38756f4cb8b10ad794ba09b9ebfd9d5099399",
     "verify --claim squeeze --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "de6eaa406de804c8e0d41d5ffae4642d13746ece79a53974e03d12e04b817d85",
+        "11f4f71b3b74e730fb753b1ed953211dccc0fca1c68e9a429a752e5d9b691a4d",
     "verify --claim perm_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "f964e7a1fab70261cf672daf8f9567d21b4680aaf50a38954509505e448b16e2",
+        "8d2c8cb80ccc06ef3c0a88d2533088deb114321f2ae827069692d79ea3753906",
     "verify --claim deriv_sum_bound --roots 0.1,0.2,0.3 --eps 1 --delta 1":
-        "d4bf87fe82320759ed971e31cd436b281eb29e3f757782615d5f474989647a6d",
+        "51e5367cd653c8e090a10d9187eb6928d856f0a7d06159686b04aed876488082",
     "verify --claim product_prop --roots 0.1,0.2,0.3 --roots2 0.5,2 --eps 1 --delta 1":
-        "77320e0b03a17d6c26772fe338f8a45d9289152974f0bf6a2efae5ef283870f2",
+        "4797b5dac123ade255d3a9a920bc09fbb72605dd494d8b3664282fa4fa2dccab",
     "expand --roots 1,2,3 --center min":
         "141d7d27633c2cc29e48a05af3f307bbcc958ac02650bf7c1595d753deb357c5",
     "expand --roots 1,2,3 --center max-plus":
@@ -279,14 +282,14 @@ PINNED_JSON = {
         "f1bdfb7fea9f8b424ee20ac679bfebf19d947bb43355055bfe0d3611e680e0d1",
     "search --claim squeeze --degree 2-4 --samples 5 --seed 1":
         "8eb4c428eac9191773355e8f636549706af6597ee862194fd90a7d5efae09c4b",
-    "analyze --roots 1+1i,2,0-0.5i --slack 0.1":
-        "701ef27a97bab462423f2e6770e6b7901c2afaeed7093fe8b1979aa740a3f7ed",
+    "analyze --roots 1+1i,2,0-0.5i":
+        "b73e2b5c0c21ffdc8c240f3d5cad584bcdf446040f5d180483713a49a89f2594",
     "analyze --roots=1e-300,2e-300,3e-300":
-        "6f6f883b7cbf31963245aef1cdaf0b1a688131cb894c624bcc66fece6caee82e",
+        "2efeae1afee2f66f105a96af3c06455089710d352f631bd669e065872634eaef",
     "analyze --roots=1+1i,1+1i,2,0-0.5i":
-        "361bc85147463879597a241fb442bf1bab4f427f99e69d2bd1251901085b8b6a",
+        "8f3470c8fdf9dad99b7cbe4e61cb2705b8136a4334b676d6eea95ef998379964",
     "analyze --roots=1e-150+1e-150i,2e-150,0+3e-150i":
-        "03dcdef66524ca5db3c317e468257ec83ee7b378b59c5473bdc60cb6c4219037",
+        "a58518f229dcad5ed784df21b19f2b69bcd85d2fa6f44bcfccbc0e119610d6f8",
 }
 
 
@@ -307,7 +310,10 @@ def test_verify_squeeze_counterexample_exit_2(capsys):
         "--eps", "1", "--delta", "1", "--json",
     )
     assert code == 2
-    verdict = json.loads(out)["results"]["verdict"]
+    results = json.loads(out)["results"]
+    assert list(results) == ["verdict"]  # the claim is named in inputs and in the verdict
+    verdict = results["verdict"]
+    assert verdict["claim_id"] == "SQUEEZE"
     assert verdict["classification"] == "COUNTEREXAMPLE"
     assert verdict["details"]["max_distance"] == pytest.approx(333.3327, abs=1e-3)
 
@@ -316,6 +322,13 @@ def test_verify_index_bound_confirmed_exit_0(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "index_bound", "--roots", "1,2,3", "--json")
     assert code == 0
     assert json.loads(out)["results"]["verdict"]["classification"] == "CONFIRMED"
+
+
+def test_verify_index_bound_rejects_one_zero_as_every_claim_does(capsys):
+    for claim in ("index_bound", "real_case"):
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, "--roots", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "limpoly verify: error: claim needs at least 2 zeros, got 1\n"
 
 
 def test_verify_perm_sum_confirmed_exit_0(capsys):
@@ -450,9 +463,6 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
           "--json"], "double range"),
         (["verify", "--claim", "product_prop", "--roots", "1", "--roots2", "1", "--eps", "1e200",
           "--delta", "1e200", "--json"], "double range"),
-        (["analyze", "--roots=1+1i,2", "--slack", "nan"], "nonnegative and finite"),
-        (["analyze", "--roots=1+1i,2", "--slack", "nan", "--json"], "nonnegative and finite"),
-        (["analyze", "--roots=1+1i,2", "--slack", "inf", "--json"], "nonnegative and finite"),
         (["verify", "--claim", "real_case", "--roots", "1,2,3", "--index-band", "nan"],
          "nonnegative and finite"),
         (["verify", "--claim", "real_case", "--roots", "1,2,3", "--index-band", "-1"],
@@ -470,7 +480,7 @@ def test_search_degree_beyond_stirling_range_usage_error(capsys):
         "infinite-root", "infinite-eps", "measure-overflow", "search-range",
         "index-bound-overflow", "expand-overflow", "expand-shift-overflow", "expand-nan-center",
         "bound-overflow", "bound-overflow-json", "product-bound-overflow-json",
-        "nan-slack", "nan-slack-json", "infinite-slack-json", "nan-index-band",
+        "nan-index-band",
         "negative-index-band", "search-nan-index-band", "analyze-nan-index-band",
         "analyze-nan-index-band-json", "analyze-nan-delta", "analyze-nan-delta-json",
     ],
@@ -567,9 +577,6 @@ GOLDEN = {
         expansion about minus-form center 1.000000 (root #0):
           coefficients: 2.000000, -3.000000, 1.000000
           gaps: 1.000000, 2.000000
-        index bounds (bound 6.000000):
-          order 1: |coeff| = 2.000000 ok
-          order 2: |coeff| = 3.000000 ok
         critical points (interlace-bisection): 1.422650, 2.577350
         distance to nearest critical point, per zero: 0.422650, 0.577350, 0.422650
           every zero within unit distance: True; max distance from least zero: 1.577350
@@ -599,19 +606,11 @@ GOLDEN = {
         measure: 2.828427
         limitedness: skipped (no-eps)
         expansion: skipped (not-positive-real)
-        index_bound: skipped (not-positive-real)
         critical points (simultaneous-iteration): 1.500000+0.500000i
         distance to nearest critical point, per zero: 0.707107, 0.707107
           every zero within unit distance: True; max distance from least zero: 0.707107
-        claims:
-          real_case: skipped (not-positive-real)
-          basic_inequality: skipped (not-positive-real)
-          squeeze: skipped (not-positive-real)
-          perm_sum_bound: skipped (not-positive-real)
-          deriv_sum_bound: skipped (not-positive-real)
-          index_bound: skipped (not-positive-real)
-          product_prop: skipped (not-positive-real)
-        projection check: nearest critical point is 0.707107 from the least-modulus zero (within 1 + slack: True)
+        claims: skipped (not-positive-real)
+        projection check: nearest critical point is 0.707107 from the least-modulus zero
     """),
     "verify-squeeze-counterexample": (
         ["verify", "--claim", "squeeze", "--roots", "0.001,0.001,500", "--eps", "1", "--delta", "1"],

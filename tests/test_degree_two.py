@@ -179,3 +179,38 @@ def test_squeeze_degree_two_fixed_eps():
     _assert_binomial(counts["COUNTEREXAMPLE"], samples, failing)
     _assert_binomial(counts["CONFIRMED"], samples, both_below_e - failing)
     _assert_binomial(counts["HYPOTHESES_NOT_MET"], samples, 1.0 - both_below_e)
+
+
+# The two sweeps below fix eps = E for every sample: the hypothesis M < E fails on some, and
+# a sample is a COUNTEREXAMPLE iff M < E and the conclusion fails.  Both zeros below E is
+# P(M < E); the pair probabilities take upper(M) as empty (0) from M = E up.
+
+
+def _assert_fixed_eps_counts(counts, samples, lo, hi, big_e, upper) -> None:
+    below_e = (math.log(big_e / lo) / math.log(hi / lo)) ** 2
+    failing = _log_uniform_pair_probability(
+        lambda big: np.where(big < big_e, upper(big), 0.0), lo, hi
+    )
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, failing)
+    _assert_binomial(counts["CONFIRMED"], samples, below_e - failing)
+    _assert_binomial(counts["HYPOTHESES_NOT_MET"], samples, 1.0 - below_e)
+
+
+def test_basic_inequality_degree_two_fixed_eps():
+    # the conclusion fails iff (M - m) + 2 >= E S_2, that is iff m <= M + 2 - E S_2:
+    # about 66 COUNTEREXAMPLE and 1750 HYPOTHESES_NOT_MET of 4000
+    lo, hi, samples, big_e = 0.001, 10.0, 4000, 1.0
+    s_2 = math.sqrt(2.0 * math.pi) * (math.exp(-1.0) + math.exp(-2.0) * 2.0**2.5)
+    counts = _counts("basic_inequality", f"log-uniform:{lo},{hi}", samples, seed=2029,
+                     epsilon_policy=f"fixed:{big_e}")
+    _assert_fixed_eps_counts(counts, samples, lo, hi, big_e, lambda big: big + 2.0 - big_e * s_2)
+
+
+def test_perm_sum_bound_degree_two_fixed_eps():
+    # |P'(m)| = M - m against E sqrt(2 pi) / e: the conclusion fails iff
+    # m <= M - E sqrt(2 pi) / e; about 26 COUNTEREXAMPLE and 1750 HYPOTHESES_NOT_MET of 4000
+    lo, hi, samples, big_e = 0.001, 10.0, 4000, 1.0
+    gap = big_e * math.sqrt(2.0 * math.pi) / math.e
+    counts = _counts("perm_sum_bound", f"log-uniform:{lo},{hi}", samples, seed=2029,
+                     epsilon_policy=f"fixed:{big_e}")
+    _assert_fixed_eps_counts(counts, samples, lo, hi, big_e, lambda big: big - gap)

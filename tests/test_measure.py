@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -34,6 +35,20 @@ def test_measure_log_domain_extremes():
     big = [2.0] * 64
     assert measure(big) == pytest.approx(2.0**64, rel=1e-10)
     assert abs(measure([1e200, 1e200, 1e-300]) - 1e100) <= 4 * math.ulp(1e100)
+
+
+def test_measure_of_a_finite_zero_whose_modulus_passes_the_largest_double():
+    # complex abs raises on this zero (its modulus is about 2.1e308); the product is in range
+    huge = complex(1.5e308, 1.5e308)
+    with mpmath.workdps(50):
+        expected = float(abs(mpmath.mpc(huge)) * mpmath.mpf(1e-300))
+    assert abs(measure([huge, 1e-300]) - expected) <= 2 * math.ulp(expected)
+    assert measure([1e-300, huge]) == measure([huge, 1e-300])
+    with pytest.raises(OverflowError, match="measure is out of double range"):
+        measure([huge, 2.0])
+    with pytest.raises(RootDomainError) as info:  # still named by its own index
+        measure([huge, math.nan, 1.0])
+    assert info.value.index == 1
 
 
 @pytest.mark.parametrize(

@@ -703,15 +703,15 @@ def test_modulus_projection_preserves_measure_randomly():
         assert measure(projected) == pytest.approx(measure(roots), rel=1e-12)
 
 
-def _pullback(roots, slack=0.0):
-    return complex_pullback_check(roots, critical_points(from_roots(roots)), slack)
+def _pullback(roots):
+    return complex_pullback_check(roots, critical_points(from_roots(roots)))
 
 
 def test_pullback_symmetric_pair():
     record = _pullback([0.5, 0.5j])
     assert record.true_critical_points[0] == pytest.approx(0.25 + 0.25j, abs=1e-12)
     assert record.min_distance_true == pytest.approx(abs(0.25 + 0.25j - 0.5), abs=1e-12)
-    assert record.within_bound
+    assert record.min_distance_true < 1
 
 
 def test_pullback_repeated_complex_root():
@@ -725,10 +725,8 @@ def test_pullback_fourth_roots_of_unity():
     assert all(abs(b) <= 1e-9 for b in record.true_critical_points)
     assert record.projected_roots == (1, 1, 1, 1)
     assert record.projected_distances == pytest.approx([0, 0, 0], abs=1e-12)
-    # exact boundary: the strict comparison sits at roundoff, but any
-    # positive slack settles it
+    # exact boundary: a strict comparison with 1 falls on roundoff
     assert record.min_distance_true == pytest.approx(1.0, abs=1e-9)
-    assert _pullback([1, 1j, -1, -1j], slack=0.01).within_bound
 
 
 def test_pullback_distance_is_the_distance_tables_entry():
@@ -743,13 +741,10 @@ def test_pullback_distance_is_the_distance_tables_entry():
         assert record.min_distance_true == table.per_zero_min[table.min_zero_index]
 
 
-def test_pullback_rejects_singletons_and_bad_slack():
-    # the critical sets are well formed, so only the pullback's own checks can fire
+def test_pullback_rejects_singletons():
+    # the critical set is well formed, so only the pullback's own check can fire
     with pytest.raises(ValueError, match="at least two roots"):
         complex_pullback_check([1 + 1j], CriticalSet((), (), "none"))
-    for slack in (-0.1, math.nan, math.inf):  # nan read "within 1 + slack: False" at distance 0.707
-        with pytest.raises(ValueError, match="nonnegative and finite"):
-            _pullback([1 + 1j, 2], slack=slack)
 
 
 def test_pullback_rejects_a_critical_set_of_the_wrong_length():
