@@ -219,18 +219,20 @@ def check_squeeze(roots: RootsLike, eps: float, delta: float) -> ClaimVerdict:
 
     The derivative tower is walked once, in n - 1 stages: order 1 is
     critical_points(poly), and each later order is solved on the previous
-    order's zeros.
+    order's zeros.  Each order's points come sorted, and the rounded
+    |center - b| is largest at an end of a sorted list (center - b rounds
+    monotonically in b), so an order's farthest point is read from its
+    first and last.
     """
     _require_positive_finite("delta", delta)
     rs, values, j, rest_product, hyp = _eps_setup(roots, eps)
     center = values[j]
     poly = from_roots(rs)
 
-    points = [b.real for b in critical_points(poly).points]
-    per_order_max = [max(map(abs, map(center.__sub__, points)))]
+    tower = [[b.real for b in critical_points(poly).points]]
     for _ in range(2, rs.n):
-        points = _real_critical_points(points)
-        per_order_max.append(max(map(abs, map(center.__sub__, points))))
+        tower.append(_real_critical_points(tower[-1]))
+    per_order_max = [max(abs(center - points[0]), abs(center - points[-1])) for points in tower]
     max_distance = max(per_order_max)
 
     concl = conclusion_check(max_distance, delta)

@@ -11,7 +11,9 @@ Those k - 1 zeros are exactly the eigenvalues of diag(v) compressed onto
 the complement of the weight vector (sqrt(m_i)) (R. Pereira, J. Math.
 Anal. Appl. 2003; S. M. Malamud, Trans. AMS 2005).  Each solve starts
 from one LAPACK eigen-solve of that (k - 1)-square matrix, and the two
-code paths only polish its eigenvalues:
+code paths only polish its eigenvalues; a real stage of two distinct
+zeros, whose one point the signs of the sum alone define, starts from
+the midpoint instead:
 
 * all zeros real: the matrix is symmetric, and its i-th eigenvalue lies
   in the i-th gap between neighbouring zeros, where f is strictly
@@ -48,7 +50,10 @@ of the others overflows, its sign is read off the terms halved.  The
 complex path brings the largest component near 1, so no difference of
 two zeros overflows.
 
-Higher derivatives repeat the step on the previous stage's points.
+Higher derivatives repeat the step on the previous stage's points.  The
+residuals take the coefficients' magnitudes once per set, share one
+scale between all points in the unit disk, and on the real path run
+Horner in floats.
 Solver state is per call; calls are independent and concurrency-safe.
 """
 
@@ -70,7 +75,6 @@ from .polynomials import (
     RootMultiset,
     RootsLike,
     _derive,
-    _evaluation_scale,
     _horner,
     derivative,
 )
@@ -112,19 +116,13 @@ class CriticalSet:
     """Zeros of a derivative, counted with multiplicity.
 
     residuals are |value at point| divided by the evaluation scale of the
-    derivative's coefficient vector at that point.
+    derivative's coefficient vector at that point, sum |c_k| max(1, |b|)^k,
+    with the same bits as complex Horner and a left-to-right sum over k.
     """
 
     points: tuple[complex, ...]
     residuals: tuple[float, ...]
     method: str
-
-
-def _scaled_residual(coeffs, z: complex) -> float:
-    scale = _evaluation_scale(coeffs, z)
-    if scale == 0.0:
-        return 0.0
-    return abs(_horner(coeffs, z)) / scale
 
 
 def _coincident(u, w) -> bool:
@@ -340,7 +338,8 @@ def _real_critical_points(values) -> list[float]:
     the top of double range; that gap is solved at its own power of two.
     """
     reps, mults, e = _cluster_reals(values)
-    starts = _compressed_zeros(reps, mults, np.linalg.eigvalsh)
+    # one gap: its point depends on the signs of the sum alone, so the midpoint (a NaN start) serves
+    starts = _compressed_zeros(reps, mults, np.linalg.eigvalsh) if len(reps) > 2 else [math.nan]
     points: list[float] = []
     for i, (lo, hi, start) in enumerate(zip(reps, reps[1:], starts)):
         if mults is not None and mults[i] > 1:
@@ -545,10 +544,32 @@ def _complex_critical_points(values) -> list[complex]:
 
 
 def _critical_set(coeffs, points, method: str) -> CriticalSet:
-    """Points with their scaled residuals against the coefficient vector."""
-    points = tuple(complex(b) for b in points)
-    residuals = tuple(_scaled_residual(coeffs, b) for b in points)
-    return CriticalSet(points=points, residuals=residuals, method=method)
+    """Points with their scaled residuals |P(b)| / sum |c_k| max(1, |b|)^k against the coefficients.
+
+    The magnitudes |c_k| are taken once per set, and every point with
+    |b| <= 1 shares one scale, their plain sum; each sum runs left to
+    right over k.  The leading coefficient is at least 1, so no scale is
+    0.  On the real path, where every coefficient is real, Horner runs in
+    floats: at a real point, complex Horner has exactly that real part and
+    a zero imaginary part for as long as no value overflows, so only a
+    non-finite float value is taken again in complex arithmetic.
+    """
+    mags = [abs(c) for c in coeffs]
+    unit = _left_sum(mags)
+    floats = [c.real for c in coeffs] if method == INTERLACE and all(c.imag == 0.0 for c in coeffs) else None
+    points = tuple(map(complex, points))
+    residuals = []
+    for b in points:
+        size, scale = abs(b), unit
+        if size > 1.0:  # a NaN size keeps unit, as max(1.0, nan) is 1.0
+            scale, power = 0.0, 1.0
+            for m in mags:
+                scale += m * power
+                power *= size
+        if floats is None or not math.isfinite(value := _horner(floats, b.real)):
+            value = _horner(coeffs, b)
+        residuals.append(abs(value) / scale)
+    return CriticalSet(points=points, residuals=tuple(residuals), method=method)
 
 
 def critical_points(p: MonicPolynomial) -> CriticalSet:

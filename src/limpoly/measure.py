@@ -44,7 +44,10 @@ def measure(roots: RootsLike) -> float:
     The moduli are taken as given, with no RootMultiset built around
     them; an empty or non-finite input is rejected as RootMultiset
     rejects it.  A non-finite root leaves the mantissa non-finite
-    (0 * inf is nan), so one check after the loop finds it.
+    (0 * inf is nan), so one check after the loop finds it.  So does a
+    finite numpy complex zero whose modulus passes the largest double,
+    which numpy's abs makes inf: the zeros are then measured again as
+    Python complex numbers, whose abs raises instead.
     """
     values = roots.roots if isinstance(roots, RootMultiset) else tuple(roots)
     if not values:
@@ -61,6 +64,8 @@ def measure(roots: RootsLike) -> float:
         return measure(halved + [2.0] * sum(big))
     if not math.isfinite(mantissa):
         i = next(i for i, m in enumerate(map(abs, values)) if not math.isfinite(m))
+        if cmath.isfinite(values[i]):  # numpy's abs gave inf where Python's raises: halve as Python complex
+            return measure([complex(z) for z in values])
         raise RootDomainError(i, complex(values[i]), "finite")
     try:
         return math.ldexp(mantissa, exponent)

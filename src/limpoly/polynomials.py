@@ -158,17 +158,6 @@ def from_roots(roots: RootsLike) -> MonicPolynomial:
     return MonicPolynomial(_product_coeffs(rs.roots), roots=rs)
 
 
-def _evaluation_scale(coeffs: Sequence[complex], z: complex) -> float:
-    """sum |c_k| * max(1, |z|)^k: the scale against which a residual at z is judged."""
-    base = max(1.0, abs(z))
-    scale = 0.0
-    power = 1.0
-    for c in coeffs:
-        scale += abs(c) * power
-        power *= base
-    return scale
-
-
 def derivative(p: MonicPolynomial) -> tuple[complex, ...]:
     """Coefficient vector of P': one degree lower, leading coefficient n (not monic)."""
     return _derive(p.coeffs)

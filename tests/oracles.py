@@ -14,6 +14,8 @@ reference for the groups it must still form.  distance_summary reads
 the zero-to-critical-point summaries off the full table of distances.
 numpy_sample draws a sweep sample with numpy's own Generator, one call
 per degree or zero set, as the README states a sample's stream.
+evaluation_scale is the definition of the scale a critical point's
+residual is judged against, taken term by term for one point.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ def coefficient_value(coeffs, z):
     """sum c_k z^k over ascending coefficients at 60 digits, rounded once to a complex."""
     with mpmath.workdps(60):
         return complex(mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], mpmath.mpc(z)))
+
+
+def evaluation_scale(coeffs, z):
+    """sum |c_k| * max(1, |z|)^k, added up left to right: the scale a residual at z is judged against."""
+    base = max(1.0, abs(z))
+    scale = 0.0
+    power = 1.0
+    for c in coeffs:
+        scale += abs(c) * power
+        power *= base
+    return scale
 
 
 def _place(x):

@@ -38,8 +38,7 @@ from limpoly import (
     stirling_bound_compare,
     taylor_shift,
 )
-from limpoly.polynomials import _evaluation_scale
-from oracles import product_value
+from oracles import evaluation_scale, product_value
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -85,8 +84,8 @@ def test_criterion_01_taylor_shift_reconstruction():
             direct = product_value(roots, z)
             series = sum(t * (z - center) ** k for k, t in enumerate(shifted))
             scale = max(
-                _evaluation_scale(p.coeffs, z),
-                _evaluation_scale(shifted, z - center),
+                evaluation_scale(p.coeffs, z),
+                evaluation_scale(shifted, z - center),
             )
             worst = max(worst, abs(direct - series) / scale)
     assert worst <= 1e-9

@@ -285,7 +285,8 @@ def _squeeze_walk_cases():
         [float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))]
         for n in range(2, 21)
     ]
-    repeated = [[0.5, 0.5, 0.5, 2.0, 7.0, 7.0], drawn[10][:1] * 3 + drawn[10][3:]]
+    repeated = [[0.5, 0.5, 0.5, 2.0, 7.0, 7.0], drawn[10][:1] * 3 + drawn[10][3:],
+                [1e-300, 1e-300, 2e-100, 3e-12, 0.7, 0.7, 4e5, 1e150]]
     known = [[2.5, 2.5, 2.5, 2.5], [0.001, 0.001, 500], [1e308, 1.5e308], [0.1, 0.2, 0.3]]
     return drawn + repeated + known
 

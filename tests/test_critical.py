@@ -37,10 +37,12 @@ from limpoly.critical import (
     _zero_band,
     _zero_run_end,
 )
+from limpoly.polynomials import _derive, _horner
 from oracles import (
     certify_critical_points,
     complex_derivative_zeros,
     distance_summary,
+    evaluation_scale,
     hull_distance,
     rational_derivative_zeros,
     real_derivative_tower,
@@ -158,6 +160,30 @@ def test_zeros_whose_differences_overflow():
 def test_residuals_are_small():
     crit = critical_points(from_roots([0.25, 1.5, 2.25, 9.0]))
     assert all(r <= 1e-8 for r in crit.residuals)
+
+
+def _residual_cases():
+    """Real zeros of both signs over 1e-300 to 1e300, some repeated, and complex ones in and out of the unit disk."""
+    rng = np.random.default_rng(35)
+    for n in range(2, 14):
+        signs = rng.choice([-1.0, 1.0], n)
+        yield [float(s * 10.0 ** e) for s, e in zip(signs, rng.uniform(-300, 300, n))]
+        zeros = [float(s * 10.0 ** e) for s, e in zip(signs, rng.uniform(-3, 3, n))]
+        yield [zeros[int(i)] for i in rng.integers(0, max(2, n // 2), n)]
+        for radius in (0.5, 1.0, 40.0):
+            yield [complex(*z) for z in rng.normal(0.0, radius, (n, 2))]
+
+
+@pytest.mark.parametrize("roots", _residual_cases())
+def test_residuals_are_their_definition_in_complex_arithmetic(roots):
+    # |P^(k)(b)| / sum |c_k| max(1, |b|)^k per point, by complex Horner; NaN where from_roots overflows
+    p = from_roots(roots)
+    coeffs = p.coeffs
+    for k in range(1, min(p.degree, 4)):
+        coeffs = _derive(coeffs)
+        crit = higher_derivative_zeros(p, k)
+        want = [abs(_horner(coeffs, complex(b))) / evaluation_scale(coeffs, complex(b)) for b in crit.points]
+        assert [r.hex() for r in crit.residuals] == [r.hex() for r in want]
 
 
 def test_quadratic_critical_point_is_midpoint():
@@ -792,7 +818,7 @@ def test_interval_zero_evaluates_the_sum_a_few_times(monkeypatch):
         while len(values) >= 2:
             intervals += len(_cluster_reals(values)[0]) - 1
             values = _real_critical_points(values)
-    assert len(calls) / intervals <= 3.0  # 2.836 measured (2,694 sums over 950 gaps)
+    assert len(calls) / intervals <= 3.0  # 2.835 measured (2,693 sums over 950 gaps)
 
 
 def test_interval_zero_weighs_repeated_zeros_in_its_slope(monkeypatch):

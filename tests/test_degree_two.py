@@ -107,6 +107,18 @@ def test_basic_inequality_degree_two_uniform():
     _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
 
 
+def test_deriv_sum_bound_degree_two_uniform():
+    # the derivative sum at m is |P'(m)| + |P''(m)| = (M - m) + 2 against eps S_2, as in
+    # test_basic_inequality_degree_two_uniform: the conclusion fails iff m <= 2 - (1.01 S_2 - 1) M,
+    # about 547 of 4000
+    lo, hi, samples = 0.1, 2.1, 4000
+    s_2 = math.sqrt(2.0 * math.pi) * (math.exp(-1.0) + math.exp(-2.0) * 2.0**2.5)
+    slope = 1.01 * s_2 - 1.0
+    counts = _sweep_counts("deriv_sum_bound", lo, hi, samples, seed=2035)
+    p = _uniform_pair_probability(lambda big: 2.0 - slope * big, lo, hi)
+    _assert_binomial(counts["COUNTEREXAMPLE"], samples, p)
+
+
 # The sweeps below draw log-uniform zeros, as the benchmark's sweeps do.  A wrong log base
 # or swapped bounds in the draw would move these counts; no digest would show it.
 
@@ -214,3 +226,13 @@ def test_perm_sum_bound_degree_two_fixed_eps():
     counts = _counts("perm_sum_bound", f"log-uniform:{lo},{hi}", samples, seed=2029,
                      epsilon_policy=f"fixed:{big_e}")
     _assert_fixed_eps_counts(counts, samples, lo, hi, big_e, lambda big: big - gap)
+
+
+def test_deriv_sum_bound_degree_two_fixed_eps():
+    # basic_inequality's region under eps = E: the conclusion fails iff m <= M + 2 - E S_2;
+    # about 243 COUNTEREXAMPLE and 1903 HYPOTHESES_NOT_MET of 4000
+    lo, hi, samples, big_e = 0.01, 5.0, 4000, 0.9
+    s_2 = math.sqrt(2.0 * math.pi) * (math.exp(-1.0) + math.exp(-2.0) * 2.0**2.5)
+    counts = _counts("deriv_sum_bound", f"log-uniform:{lo},{hi}", samples, seed=2036,
+                     epsilon_policy=f"fixed:{big_e}")
+    _assert_fixed_eps_counts(counts, samples, lo, hi, big_e, lambda big: big + 2.0 - big_e * s_2)

@@ -51,6 +51,16 @@ def test_measure_of_a_finite_zero_whose_modulus_passes_the_largest_double():
     assert info.value.index == 1
 
 
+def test_measure_of_a_numpy_zero_whose_modulus_passes_the_largest_double():
+    # numpy's complex abs gives inf there, where Python's raises
+    huge = complex(1.5e308, 1.5e308)
+    assert measure(np.array([huge, 1e-300])) == measure([huge, 1e-300])
+    assert measure(np.array([1e-300, huge])) == measure([1e-300, huge])
+    with pytest.raises(RootDomainError) as info:
+        measure(np.array([huge, math.nan, 1.0]))
+    assert info.value.index == 1
+
+
 @pytest.mark.parametrize(
     "roots, index",
     [([math.inf], 0), ([math.nan, 1.0], 0), ([0.0, math.inf], 1),

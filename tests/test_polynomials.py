@@ -14,8 +14,7 @@ from limpoly import (
     permutation_sum_derivative,
     taylor_shift,
 )
-from limpoly.polynomials import _evaluation_scale
-from oracles import coefficient_value, product_value
+from oracles import coefficient_value, evaluation_scale, product_value
 
 
 def test_from_roots_two():
@@ -164,8 +163,8 @@ def test_shift_identity_property(roots, center, probe):
     direct = product_value(roots, probe)
     recomposed = sum(t * (probe - center) ** k for k, t in enumerate(shifted))
     scale = max(
-        _evaluation_scale(from_roots(roots).coeffs, probe),
-        _evaluation_scale(shifted, probe - center),
+        evaluation_scale(from_roots(roots).coeffs, probe),
+        evaluation_scale(shifted, probe - center),
     )
     assert abs(direct - recomposed) <= 1e-9 * scale
 
@@ -203,7 +202,7 @@ def test_permutation_sum_matches_derivative(roots, probe):
     d = derivative(p)
     direct = sum(c * probe**k for k, c in enumerate(d))
     via_products = permutation_sum_derivative(roots, probe)
-    scale = max(_evaluation_scale(d, probe), abs(direct), 1.0)
+    scale = max(evaluation_scale(d, probe), abs(direct), 1.0)
     assert abs(direct - via_products) <= 1e-9 * scale
 
 
@@ -214,4 +213,4 @@ def test_root_residual_scaled(roots):
     p = from_roots(roots)
     for a in roots:
         residual = abs(coefficient_value(p.coeffs, a))
-        assert residual <= 1e-9 * _evaluation_scale(p.coeffs, a)
+        assert residual <= 1e-9 * evaluation_scale(p.coeffs, a)
